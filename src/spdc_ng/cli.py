@@ -69,16 +69,9 @@ def _negentropy_cell(plane, form, params, tol):
 
 
 def _sweep_columns(quantity, alphas):
-    cols = []
-    if quantity in ("epr", "mancini", "var_q_norm", "var_x_norm", "delta_b"):
-        cols.append(quantity)
-        cols.append(quantity + "_err")
-        for a in alphas if quantity in _ALPHA_AWARE else ():
-            cols.append(f"{quantity}_{_alpha_tag(a)}")
-    elif quantity in ("ng_total", "ng_cond", "ng_marg"):
-        cols += [quantity, quantity + "_err"]
-    else:  # single negentropy
-        cols += [quantity, quantity + "_err"]
+    cols = [quantity, quantity + "_err"]
+    if quantity in _ALPHA_AWARE:
+        cols += [f"{quantity}_{_alpha_tag(a)}" for a in alphas]
     return cols
 
 

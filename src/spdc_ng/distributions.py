@@ -28,8 +28,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
 
 from .quadrature import Domain, QuadTolerance, integrate_1d
 from .specfun import shape_constants, sinc, sint
@@ -172,7 +172,8 @@ class DensitySpec:
     def __init__(self, plane, model, form, params, norm, *, alpha=None,
                  fixed=None, tol=None, pdf1=None, osc_scale=None, seeds=(),
                  core_extent=0.0, factor_plus=None, factor_minus=None,
-                 dom_plus=None, dom_minus=None, parent=None):
+                 dom_plus=None, dom_minus=None, z_plus=None, z_minus=None,
+                 k_freq=None, k_width=None, g_width=None, parent=None):
         self.plane = plane
         self.model = model
         self.form = form
@@ -187,6 +188,11 @@ class DensitySpec:
         self.factor_minus = factor_minus
         self.dom_plus = dom_plus
         self.dom_minus = dom_minus
+        self.z_plus = z_plus         # factor normalizations
+        self.z_minus = z_minus
+        self.k_freq = k_freq         # kernel feature scales, see _factors
+        self.k_width = k_width
+        self.g_width = g_width
         # 1-D evaluation path (marginal/conditional forms only).
         self.pdf1 = pdf1
         self.osc_scale = osc_scale   # oscillation hint for integrals over the pdf
@@ -229,12 +235,8 @@ def make_density(plane, model, form, params, tol=None, *, alpha=None, fixed=0.0)
 
     spec = DensitySpec(plane, model, "joint", params, 1.0 / z, alpha=alpha,
                        tol=tol, factor_plus=g, factor_minus=k,
-                       dom_plus=dom_g, dom_minus=dom_k)
-    spec.z_plus = zg
-    spec.z_minus = zk
-    spec.k_freq = k_freq
-    spec.k_width = k_width
-    spec.g_width = g_width
+                       dom_plus=dom_g, dom_minus=dom_k, z_plus=zg, z_minus=zk,
+                       k_freq=k_freq, k_width=k_width, g_width=g_width)
 
     if form == "joint":
         return spec
@@ -260,6 +262,12 @@ def eval_density(spec, *point):
         out = spec.pdf1(np.asarray(point[0], float))
     out = np.asarray(out, float)
     return float(out) if out.ndim == 0 else out
+
+
+def _convolve_valid(a, b):
+    """The "valid" part of the linear convolution of ``a`` with a shorter ``b``."""
+    n = next_fast_len(len(a) + len(b) - 1, True)
+    return irfft(rfft(a, n) * rfft(b, n), n)[len(b) - 1:len(a)]
 
 
 class _MarginalTable:
@@ -312,7 +320,7 @@ class _MarginalTable:
         gv = j.factor_plus(w)
         vk = h * np.arange(-(m + n), m + n + 1)
         kv = self._k_eff(vk)
-        conv = fftconvolve(kv, gv, mode="valid") * h   # length 2n+1, z = j*h
+        conv = _convolve_valid(kv, gv) * h   # length 2n+1, z = j*h
         z = h * np.arange(-n, n + 1)
         self._spline = CubicSpline(z, conv, extrapolate=False)
         self._zmax = n * h
@@ -376,7 +384,6 @@ def marginal_of(spec2d, tol=None):
     out = DensitySpec(j.plane, j.model, "marginal", j.params, 1.0,
                       alpha=j.alpha, tol=tol, pdf1=pdf, osc_scale=osc,
                       seeds=(0.0,), core_extent=extent, parent=j)
-    out._table = table
 
     # Cross-check the table against direct quadrature at a few points; a
     # mis-aligned convolution grid would corrupt every downstream entropy.

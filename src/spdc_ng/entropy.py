@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import (Params, conditional_of, gaussian_equivalent,
                             make_density, marginal_of)
-from .moments import _factor_moments, moments_1d
+from .moments import _factor_variances, moments_1d
 from .quadrature import Domain, QuadTolerance, integrate_1d
 from .specfun import _xlogx, shape_constants
 
@@ -123,7 +123,7 @@ def negentropy(spec, tol=None):
     tol = tol or spec.tol
     h_actual, err = _entropy_with_err(spec, tol)
     if spec.ndim == 2:
-        (_, s2_u), (_, s2_v) = _factor_moments(spec, tol)
+        s2_u, s2_v = _factor_variances(spec, tol)
         det = s2_u * s2_v   # = var^2 - cov^2 in the original coordinates
         h_gauss = math.log2(2.0 * math.pi * math.e * math.sqrt(det))
     else:

@@ -94,15 +94,17 @@ class CondVariances:
         return iter((self.var_q_cond, self.var_x_cond))
 
 
-def _factor_moments(spec2d, tol):
-    """Central first/second moments of the u and v factors of a joint."""
+def _factor_variances(spec2d, tol):
+    """Variances of the u and v factors of a joint.
+
+    Both factors are even functions on symmetric domains, so their means
+    vanish and the variances are the plain second moments.
+    """
     out = []
     for f, dom, z in ((spec2d.factor_plus, spec2d.dom_plus, spec2d.z_plus),
                       (spec2d.factor_minus, spec2d.dom_minus, spec2d.z_minus)):
-        m1, _ = integrate_1d(lambda t: t * f(t), dom, tol)
         m2, _ = integrate_1d(lambda t: t * t * f(t), dom, tol)
-        mean = m1 / z
-        out.append((mean, m2 / z - mean * mean))
+        out.append(m2 / z)
     return out
 
 
@@ -111,15 +113,9 @@ def covariance_numeric(spec2d, tol=None):
     if spec2d.form != "joint":
         raise ValueError("covariance_numeric expects a joint density")
     tol = tol or spec2d.tol
-    (mu_u, s2_u), (mu_v, s2_v) = _factor_moments(spec2d, tol)
+    s2_u, s2_v = _factor_variances(spec2d, tol)
     var = 0.5 * (s2_u + s2_v)
-    cov = 0.5 * (s2_u - s2_v)
-    # The factor means feed the (zero) coordinate means; keep them observable.
-    mean1 = (mu_u + mu_v) / math.sqrt(2.0)
-    mean2 = (mu_u - mu_v) / math.sqrt(2.0)
-    result = Cov2(var1=var, var2=var, cov=cov)
-    object.__setattr__(result, "mean", (mean1, mean2))
-    return result
+    return Cov2(var1=var, var2=var, cov=0.5 * (s2_u - s2_v))
 
 
 def covariance_closed(plane, params, tol=None):
@@ -142,17 +138,15 @@ def covariance_closed(plane, params, tol=None):
 def moments_1d(spec, tol=None):
     """(mean, variance) of a 1-D density spec.
 
-    Marginals reuse their parent joint's factor moments (exact reduction);
-    conditionals integrate their own pdf.
+    Marginals reuse their parent joint's factor variances (exact reduction;
+    their mean is zero by symmetry); conditionals integrate their own pdf.
     """
     if spec.ndim != 1:
         raise ValueError("moments_1d expects a 1-D form")
     tol = tol or spec.tol
     if spec.form == "marginal" and spec.parent is not None:
-        (mu_u, s2_u), (mu_v, s2_v) = _factor_moments(spec.parent, tol)
-        mean = (mu_u - mu_v) / math.sqrt(2.0)
-        var = 0.5 * (s2_u + s2_v)
-        return mean, var
+        s2_u, s2_v = _factor_variances(spec.parent, tol)
+        return 0.0, 0.5 * (s2_u + s2_v)
     dom = spec.domain()
     m1, _ = integrate_1d(lambda x: x * spec.pdf1(x), dom, tol,
                          seed_points=spec.seeds)

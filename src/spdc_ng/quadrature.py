@@ -23,7 +23,7 @@ All integrand callables must accept numpy arrays (vectorized evaluation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -321,12 +321,6 @@ def integrate_1d(f, domain, tol=None, seed_points=()):
     if domain.kind == "half_line":
         return _integrate_mapped_half(f, domain.a, tol)
     raise ValueError(f"unknown domain kind {domain.kind!r}")
-
-
-def integrate_1d_seeded(f, a, b, tol=None, seed_points=()):
-    """Finite-interval integration with known interior feature locations."""
-    tol = tol or QuadTolerance()
-    return _adaptive_finite(f, a, b, tol, seed_points=seed_points)
 
 
 def integrate_2d(f, dx, dy, tol=None):

@@ -1,14 +1,18 @@
 """Unit tests for the two-photon density constructors."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spdc_ng
 from spdc_ng.distributions import (DegenerateSliceError, Params, Physical,
-                                   conditional_of, eval_density,
-                                   gaussian_equivalent, make_density,
-                                   marginal_of)
+                                   _convolve_valid, conditional_of,
+                                   eval_density, gaussian_equivalent,
+                                   make_density, marginal_of)
 from spdc_ng.quadrature import QuadTolerance, integrate_1d
 from spdc_ng.specfun import shape_constants
 
@@ -118,6 +122,25 @@ class TestStructure:
             make_density("mid_field", "spdc", "joint", Params(p=1.0))
         with pytest.raises(ValueError):
             make_density("far_field", "spdc", "slice", Params(p=1.0))
+
+
+class TestMarginalConvolution:
+    @pytest.mark.parametrize("na, nb", ((399, 231), (441, 255), (1009, 17)))
+    def test_matches_fftconvolve_bitwise(self, na, nb):
+        from scipy.signal import fftconvolve
+        rng = np.random.default_rng(na * nb)
+        a, b = rng.standard_normal(na), rng.standard_normal(nb)
+        assert np.array_equal(_convolve_valid(a, b),
+                              fftconvolve(a, b, mode="valid"))
+
+    def test_import_does_not_load_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spdc_ng; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert res.stdout.strip() == "False"
 
 
 class TestGaussianModel:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spdc_ng.quadrature import (Domain, QuadTolerance, integrate_1d,
-                                integrate_1d_seeded, integrate_2d_rotated)
+from spdc_ng.quadrature import (Domain, QuadratureError, QuadTolerance,
+                                integrate_1d, integrate_2d_rotated)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -17,8 +17,8 @@ class TestFinite:
         assert v == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_seeded_kink(self):
-        v, _ = integrate_1d_seeded(lambda x: np.abs(x - 0.3), 0.0, 1.0,
-                                   seed_points=(0.3,))
+        v, _ = integrate_1d(lambda x: np.abs(x - 0.3), Domain.finite(0.0, 1.0),
+                            seed_points=(0.3,))
         assert v == pytest.approx(0.3 ** 2 / 2 + 0.7 ** 2 / 2, abs=1e-12)
 
 
@@ -101,6 +101,16 @@ class TestRotated2d:
                                     lambda w: np.exp(-2.0 * w * w),
                                     Domain.full_line(), Domain.full_line())
         assert v == pytest.approx(SQRT_PI * math.sqrt(math.pi / 2.0), rel=1e-9)
+
+
+class TestFailurePaths:
+    def test_exhausted_budget_raises_with_partial_result(self):
+        with pytest.raises(QuadratureError, match="max_subdivisions") as info:
+            integrate_1d(lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0)),
+                         Domain.finite(0.0, 1.0),
+                         QuadTolerance(max_subdivisions=10))
+        assert math.isfinite(info.value.value)
+        assert math.isfinite(info.value.err_estimate)
 
 
 class TestValidation:
