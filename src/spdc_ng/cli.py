@@ -23,7 +23,7 @@ from .distributions import Params, conditional_of, make_density, marginal_of
 from .entropy import marginal_negentropy_limits, negentropy, ng_report
 from .gstate import (delta_b, purity, symplectic_spectrum, two_mode_cov,
                      von_neumann_entropy)
-from .moments import (conditional_variances, covariance_closed,
+from .moments import (_conditional_variance, conditional_variances,
                       gaussian_conditional_variances, mancini_product,
                       moments_1d)
 from .quadrature import QuadTolerance
@@ -93,14 +93,14 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
         for a in alphas:
             out.append(mancini_product(params, "gaussian", alpha=a))
     elif quantity == "var_q_norm":
-        cv = conditional_variances(params, tol)
-        out += [cv.var_q_norm, 0.0]
+        var_q = _conditional_variance("far_field", params, tol)
+        out += [var_q * params.p ** 2, 0.0]
         for a in alphas:
             vq, _ = gaussian_conditional_variances(a, params)
             out.append(vq * p * p)
     elif quantity == "var_x_norm":
-        cv = conditional_variances(params, tol)
-        out += [cv.var_x_norm, 0.0]
+        var_x = _conditional_variance("near_field", params, tol)
+        out += [var_x / params.p ** 2, 0.0]
         for a in alphas:
             _, vx = gaussian_conditional_variances(a, params)
             out.append(vx / (p * p))
@@ -192,17 +192,14 @@ def _tol_from(args):
 def _report_record(p, sigma, tol):
     params = Params(p=p, sigma=sigma)
     rep = ng_report(params, tol)
-    cv = conditional_variances(params, tol)
-    epr = cv.var_x_cond * cv.var_q_cond
+    epr = rep.var_x_cond * rep.var_q_cond
     spectrum = symplectic_spectrum(two_mode_cov(params, tol))
     rec = {"p": p, "sigma": sigma}
     for name in ("n_ff_joint", "n_nf_joint", "ng_total", "n_ff_cond",
                  "n_nf_cond", "ng_cond", "n_ff_marg", "n_nf_marg", "ng_marg",
-                 "decomposition_residual"):
+                 "decomposition_residual", "var_q_cond", "var_x_cond"):
         rec[name] = getattr(rep, name)
     rec.update({
-        "var_q_cond": cv.var_q_cond,
-        "var_x_cond": cv.var_x_cond,
         "epr_product": epr,
         "epr_entangled": epr < 0.25,
         "epr_nongaussian_witness": epr > 0.25,

@@ -286,8 +286,9 @@ class _MarginalTable:
 
     _PHASE_SMOOTH = 300.0
 
-    def __init__(self, joint):
+    def __init__(self, joint, z_cap):
         self.joint = joint
+        self.z_cap = z_cap
         self._lock = threading.Lock()
         self._spline = None
         self._zmax = 0.0
@@ -295,7 +296,6 @@ class _MarginalTable:
         # (2/pi) cos -> 2/pi^2 for the sint shape, each over phase^2.
         self.c_env = 0.5 if joint.plane == "far_field" else 2.0 / math.pi ** 2
         self.osc = joint.dom_minus.osc_scale
-        self.z_cap = None   # set by marginal_of once the needed extent is known
 
     def _k_avg(self, v):
         y = self.osc * np.square(v)
@@ -326,8 +326,7 @@ class _MarginalTable:
         self._zmax = n * h
 
     def ensure(self, zmax):
-        if self.z_cap is not None:
-            zmax = min(zmax, self.z_cap)
+        zmax = min(zmax, self.z_cap)
         with self._lock:
             if self._spline is None or zmax > self._zmax:
                 self._build(max(zmax * 1.05, 1.0))
@@ -367,11 +366,6 @@ def marginal_of(spec2d, tol=None):
                            alpha=j.alpha, tol=tol, pdf1=pdf, osc_scale=None,
                            seeds=(0.0,), parent=j)
 
-    table = _MarginalTable(j)
-
-    def pdf(x):
-        return j.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
-
     osc = j.dom_minus.osc_scale * 2.0   # tail m ~ k(sqrt(2) xi2)
     sc = shape_constants(tol)
     if j.plane == "far_field":
@@ -380,7 +374,12 @@ def marginal_of(spec2d, tol=None):
         var_v = 2.0 * j.params.p ** 2 * sc.a2 / sc.a1
     var = 0.5 * (0.5 * j.g_width ** 2 + var_v)
     extent = 11.0 * math.sqrt(var)
-    table.z_cap = math.sqrt(2.0) * 2.0 * max(extent, math.sqrt(32.0 * math.pi / osc))
+    z_cap = math.sqrt(2.0) * 2.0 * max(extent, math.sqrt(32.0 * math.pi / osc))
+    table = _MarginalTable(j, z_cap)
+
+    def pdf(x):
+        return j.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
+
     out = DensitySpec(j.plane, j.model, "marginal", j.params, 1.0,
                       alpha=j.alpha, tol=tol, pdf1=pdf, osc_scale=osc,
                       seeds=(0.0,), core_extent=extent, parent=j)

@@ -15,12 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .distributions import (Params, conditional_of, gaussian_equivalent,
-                            make_density, marginal_of)
+from .distributions import (conditional_of, gaussian_equivalent, make_density,
+                            marginal_of)
 from .moments import _factor_variances, moments_1d
-from .quadrature import Domain, QuadTolerance, integrate_1d
+from .quadrature import QuadTolerance, integrate_1d
 from .specfun import _xlogx, shape_constants
 
 __all__ = [
@@ -55,6 +53,10 @@ class NgReport:
     forms for both planes, their pairwise sums, and the defect of the
     small-P decomposition ng_total ~ ng_cond + ng_marg.
 
+    var_q_cond and var_x_cond are the variances of the far-field and
+    near-field origin slices, the moments the conditional negentropies are
+    matched to; they equal conditional_variances(params) bitwise.
+
     The decomposition becomes exact as P -> 0, but only linearly:
     decomposition_residual = c P + O(P^2) bits with
     c = 2 sqrt(2 pi) / (pi^2 A2 ln 2) = 1.24009.  The near-field origin
@@ -75,6 +77,8 @@ class NgReport:
     n_nf_marg: float
     ng_marg: float
     decomposition_residual: float
+    var_q_cond: float
+    var_x_cond: float
 
 
 def _entropy_1d(pdf, dom, tol, seeds=()):
@@ -117,38 +121,61 @@ def gaussian_entropy_closed(plane, params, tol=None):
     raise ValueError(f"unknown plane {plane!r}")
 
 
-def negentropy(spec, tol=None):
-    """Negentropy of a density spec, with the matched Gaussian sharing the
-    spec's own mean and (co)variance."""
-    tol = tol or spec.tol
+def _negentropy(spec, tol, moment):
+    """Negentropy of ``spec`` given its second moments: the factor
+    variances (s2_u, s2_v) of a joint, or the variance of a 1-D form."""
     h_actual, err = _entropy_with_err(spec, tol)
     if spec.ndim == 2:
-        s2_u, s2_v = _factor_variances(spec, tol)
+        s2_u, s2_v = moment
         det = s2_u * s2_v   # = var^2 - cov^2 in the original coordinates
         h_gauss = math.log2(2.0 * math.pi * math.e * math.sqrt(det))
     else:
-        _, var = moments_1d(spec, tol)
-        h_gauss = 0.5 * math.log2(2.0 * math.pi * math.e * var)
+        h_gauss = 0.5 * math.log2(2.0 * math.pi * math.e * moment)
     return NegentropyValue(value=h_gauss - h_actual, h_actual=h_actual,
                            h_gaussian=h_gauss, err_estimate=err)
 
 
+def negentropy(spec, tol=None):
+    """Negentropy of a density spec, with the matched Gaussian sharing the
+    spec's own mean and (co)variance."""
+    tol = tol or spec.tol
+    if spec.ndim == 2:
+        moment = _factor_variances(spec, tol)
+    else:
+        _, moment = moments_1d(spec, tol)
+    return _negentropy(spec, tol, moment)
+
+
+def _plane_report(plane, params, tol):
+    """(joint, origin-conditional, marginal negentropies, slice variance) of
+    the spdc state on one plane.
+
+    Each density is built once and each second moment integrated once: the
+    marginal's variance is the mean of its joint's factor variances.
+    """
+    joint = make_density(plane, "spdc", "joint", params, tol)
+    cond = conditional_of(joint, 0.0, tol)
+    marg = marginal_of(joint, tol)
+    s2_u, s2_v = _factor_variances(joint, tol)
+    _, var_cond = moments_1d(cond, tol)
+    return (_negentropy(joint, tol, (s2_u, s2_v)).value,
+            _negentropy(cond, tol, var_cond).value,
+            _negentropy(marg, tol, 0.5 * (s2_u + s2_v)).value,
+            var_cond)
+
+
 def ng_report(params, tol=None):
-    """All nine negentropies at one P (origin slices for the conditionals).
+    """All nine negentropies at one P (origin slices for the conditionals),
+    with the two origin-slice variances.
 
     The decomposition residual vanishes linearly in P, as c P + O(P^2)
     bits with c = 2 sqrt(2 pi) / (pi^2 A2 ln 2) = 1.24009 (see NgReport).
     """
     tol = tol or QuadTolerance()
-    ff = make_density("far_field", "spdc", "joint", params, tol)
-    nf = make_density("near_field", "spdc", "joint", params, tol)
-
-    n_ff_joint = negentropy(ff, tol).value
-    n_nf_joint = negentropy(nf, tol).value
-    n_ff_cond = negentropy(conditional_of(ff, 0.0, tol), tol).value
-    n_nf_cond = negentropy(conditional_of(nf, 0.0, tol), tol).value
-    n_ff_marg = negentropy(marginal_of(ff, tol), tol).value
-    n_nf_marg = negentropy(marginal_of(nf, tol), tol).value
+    n_ff_joint, n_ff_cond, n_ff_marg, var_q = _plane_report(
+        "far_field", params, tol)
+    n_nf_joint, n_nf_cond, n_nf_marg, var_x = _plane_report(
+        "near_field", params, tol)
 
     ng_total = n_ff_joint + n_nf_joint
     ng_cond = n_ff_cond + n_nf_cond
@@ -158,7 +185,8 @@ def ng_report(params, tol=None):
                     ng_total=ng_total,
                     n_ff_cond=n_ff_cond, n_nf_cond=n_nf_cond, ng_cond=ng_cond,
                     n_ff_marg=n_ff_marg, n_nf_marg=n_nf_marg, ng_marg=ng_marg,
-                    decomposition_residual=ng_total - ng_cond - ng_marg)
+                    decomposition_residual=ng_total - ng_cond - ng_marg,
+                    var_q_cond=var_q, var_x_cond=var_x)
 
 
 def marginal_negentropy_limits(tol=None):
@@ -173,12 +201,9 @@ def marginal_negentropy_limits(tol=None):
     tol = tol or QuadTolerance()
     sc = shape_constants(tol)
 
-    # sinc^2(s^2) shape: zeroth moment by quadrature, second via the
-    # memoized moment ratio, log-integral = 2 * i_ff by parity.
-    from .specfun import sinc
-    b1, _ = integrate_1d(lambda x: sinc(x * x) ** 2,
-                         Domain.full_line(osc_scale=1.0), tol)
-    h_sinc = math.log2(b1) - 2.0 * sc.i_ff / (b1 * _LN2)
+    # sinc^2(s^2) shape: zeroth and second moments from the memoized
+    # constants, log-integral = 2 * i_ff by parity.
+    h_sinc = math.log2(sc.b1) - 2.0 * sc.i_ff / (sc.b1 * _LN2)
     n_small = 0.5 * math.log2(2.0 * math.pi * math.e * sc.sinc_moment_ratio) - h_sinc
 
     h_sint = math.log2(sc.a1) - sc.i_nf / (sc.a1 * _LN2)

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .distributions import DensitySpec, Params, conditional_of, make_density
+from .distributions import Params, conditional_of, make_density
 from .quadrature import QuadTolerance, integrate_1d
 from .specfun import shape_constants
 
@@ -155,6 +156,13 @@ def moments_1d(spec, tol=None):
     return m1, m2 - m1 * m1
 
 
+def _conditional_variance(plane, params, tol, fixed=0.0):
+    """Variance of the spdc slice p(xi1 | xi2 = fixed) on one plane."""
+    joint = make_density(plane, "spdc", "joint", params, tol)
+    _, var = moments_1d(conditional_of(joint, fixed, tol), tol)
+    return var
+
+
 def conditional_variances(params, tol=None, fixed_q=0.0, fixed_x=0.0):
     """Variances of the spdc conditional slices on both planes.
 
@@ -162,10 +170,8 @@ def conditional_variances(params, tol=None, fixed_q=0.0, fixed_x=0.0):
     conditional shape depends on them once P is large.
     """
     tol = tol or QuadTolerance()
-    ff = make_density("far_field", "spdc", "joint", params, tol)
-    nf = make_density("near_field", "spdc", "joint", params, tol)
-    _, var_q = moments_1d(conditional_of(ff, fixed_q, tol), tol)
-    _, var_x = moments_1d(conditional_of(nf, fixed_x, tol), tol)
+    var_q = _conditional_variance("far_field", params, tol, fixed_q)
+    var_x = _conditional_variance("near_field", params, tol, fixed_x)
     p2 = params.p ** 2
     return CondVariances(var_q_cond=var_q, var_x_cond=var_x,
                          var_q_norm=var_q * p2, var_x_norm=var_x / p2)
@@ -236,31 +242,13 @@ def mancini_boundary(tol=None):
 def find_epr_crossings(tol=None):
     """The two P values where the spdc EPR product crosses 1/4.
 
-    Bisection on the brackets [0.1, 1] and [1, 5] down to 1e-4 in P,
-    then a single Newton step with a central finite difference.
+    Brent's method on the brackets [0.1, 1] and [1, 5], to 1e-8 in P.  A
+    bracket over which the product does not cross 1/4 raises ValueError.
     """
     tol = tol or QuadTolerance()
 
     def f(p):
         return epr_product(Params(p=p), tol).product - 0.25
 
-    roots = []
-    for lo, hi in ((0.1, 1.0), (1.0, 5.0)):
-        flo, fhi = f(lo), f(hi)
-        if flo * fhi >= 0:
-            raise RuntimeError(f"EPR product does not change sign on "
-                               f"[{lo}, {hi}]; upstream variance bug likely")
-        while hi - lo > 1e-4:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if flo * fm <= 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
-        h = 5e-4
-        slope = (f(root + h) - f(root - h)) / (2.0 * h)
-        if slope != 0.0:
-            root -= f(root) / slope
-        roots.append(root)
-    return tuple(roots)
+    return tuple(brentq(f, lo, hi, xtol=1e-8)
+                 for lo, hi in ((0.1, 1.0), (1.0, 5.0)))

@@ -33,7 +33,6 @@ __all__ = [
     "Domain",
     "QuadratureError",
     "integrate_1d",
-    "integrate_2d",
     "integrate_2d_rotated",
 ]
 
@@ -321,33 +320,6 @@ def integrate_1d(f, domain, tol=None, seed_points=()):
     if domain.kind == "half_line":
         return _integrate_mapped_half(f, domain.a, tol)
     raise ValueError(f"unknown domain kind {domain.kind!r}")
-
-
-def integrate_2d(f, dx, dy, tol=None):
-    """Direct (nested adaptive) 2-D integration of ``f(x, y)``.
-
-    The outer integral runs over ``dy``; each outer node triggers an inner
-    1-D integral over ``dx`` at a tightened tolerance.  This path is the
-    generic oracle; performance-sensitive callers with separable integrands
-    should use :func:`integrate_2d_rotated`.
-    """
-    tol = tol or QuadTolerance()
-    inner_tol = tol.scaled(0.02)
-    inner_errs = []
-
-    def outer(ys):
-        ys = np.atleast_1d(ys)
-        out = np.empty_like(ys, dtype=float)
-        for i, y in enumerate(ys):
-            v, e = integrate_1d(lambda x, _y=y: f(x, np.full_like(np.asarray(x, float), _y)),
-                                dx, inner_tol)
-            out[i] = v
-            inner_errs.append(abs(e))
-        return out
-
-    value, outer_err = integrate_1d(outer, dy, tol)
-    inner_err = max(inner_errs, default=0.0)
-    return value, outer_err + inner_err
 
 
 def integrate_2d_rotated(f_plus, f_minus, d_plus, d_minus, tol=None):

@@ -99,6 +99,7 @@ class ShapeConstants:
             joint-entropy constant +1.434.)
     sinc_moment_ratio: second-moment ratio of the sinc(x^2)^2 weight
             (analytically 3/4).
+    b1:     zeroth moment of sinc(x^2)^2 over the full line.
     """
 
     a1: float
@@ -106,6 +107,7 @@ class ShapeConstants:
     i_ff: float
     i_nf: float
     sinc_moment_ratio: float
+    b1: float
     errors: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -144,7 +146,7 @@ def _compute(tol):
     errors = {k: results[k][1] for k in results}
     errors["sinc_moment_ratio"] = (results["b2"][1] + ratio * results["b1"][1]) / b1
     return ShapeConstants(a1=a1, a2=a2, i_ff=i_ff, i_nf=i_nf,
-                          sinc_moment_ratio=ratio, errors=errors)
+                          sinc_moment_ratio=ratio, b1=b1, errors=errors)
 
 
 def shape_constants(tol=None):

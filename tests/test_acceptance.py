@@ -5,6 +5,7 @@ with ``pytest -s`` or in captured output on failure) and then asserts.
 """
 
 import math
+import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import spdc_ng
 from spdc_ng.distributions import (DensitySpec, Params, conditional_of,
                                    eval_density, make_density, marginal_of)
 from spdc_ng.entropy import negentropy, ng_report
@@ -256,8 +258,10 @@ def test_criterion_11_sweep_determinism(tmp_path):
     cmd = [sys.executable, "-m", "spdc_ng.cli", "sweep", "--quantity",
            "mancini", "--steps", "12", "--alpha", "0.72",
            "--abs-tol", "1e-9", "--rel-tol", "1e-7"]
-    r1 = subprocess.run(cmd + ["--out", str(a), "--threads", "2"])
-    r2 = subprocess.run(cmd + ["--out", str(b), "--threads", "6"])
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(spdc_ng.__file__))}
+    r1 = subprocess.run(cmd + ["--out", str(a), "--threads", "2"], env=env)
+    r2 = subprocess.run(cmd + ["--out", str(b), "--threads", "6"], env=env)
     _verdict(11, [
         ("both runs succeed", r1.returncode == 0 and r2.returncode == 0),
         ("byte-identical output", a.read_bytes() == b.read_bytes()),

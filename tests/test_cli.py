@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from spdc_ng.cli import main
+import spdc_ng
+from spdc_ng import distributions
+from spdc_ng.cli import _report_record, _sweep_values, main
+from spdc_ng.quadrature import QuadTolerance
 
 FAST = ["--abs-tol", "1e-8", "--rel-tol", "1e-6"]
+FAST_TOL = QuadTolerance(abs_tol=1e-8, rel_tol=1e-6)
 
 
 def _run(args):
@@ -122,10 +127,46 @@ class TestFigure:
 
 class TestInstalledScript:
     def test_console_entry_point(self):
+        src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
         res = subprocess.run([sys.executable, "-m", "spdc_ng.cli",
                               "constants", "--format", "json"] + FAST,
-                             capture_output=True, text=True)
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0
         rec = json.loads(res.stdout)
         assert rec["sinc_moment_ratio"] == pytest.approx(0.75, abs=1e-6)
         assert rec["a1"] == pytest.approx(1.4007666, abs=1e-5)
+
+
+def _count_calls(monkeypatch, *names):
+    """Count calls of the named distributions functions, through every
+    spdc_ng namespace that binds them."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "spdc_ng" or n.startswith("spdc_ng."))]
+    for name in names:
+        orig = getattr(distributions, name)
+
+        def spy(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, spy)
+    return counts
+
+
+class TestConstructionCounts:
+    def test_report_builds_each_density_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "make_density", "conditional_of",
+                              "marginal_of")
+        _report_record(1.0, 1.0, FAST_TOL)
+        assert counts == {"make_density": 2, "conditional_of": 2,
+                          "marginal_of": 2}
+
+    @pytest.mark.parametrize("quantity", ("var_q_norm", "var_x_norm"))
+    def test_variance_row_builds_one_joint(self, monkeypatch, quantity):
+        counts = _count_calls(monkeypatch, "make_density")
+        _sweep_values(quantity, 1.0, 1.0, (0.72,), FAST_TOL)
+        assert counts == {"make_density": 1}

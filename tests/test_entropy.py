@@ -11,6 +11,7 @@ from spdc_ng.distributions import (DensitySpec, Params, conditional_of,
 from spdc_ng.entropy import (conditional_gaussian_mismatch,
                              differential_entropy, gaussian_entropy_closed,
                              marginal_negentropy_limits, negentropy, ng_report)
+from spdc_ng.moments import conditional_variances
 from spdc_ng.quadrature import QuadTolerance
 
 TOL = QuadTolerance()
@@ -93,6 +94,12 @@ class TestNgReport:
         r = ng_report(Params(p=1.0), TOL)
         assert r.n_ff_joint == pytest.approx(0.153352, abs=2e-5)
         assert r.n_nf_joint == pytest.approx(0.226026, abs=2e-5)
+
+    @pytest.mark.parametrize("p", (0.3, 3.0))
+    def test_slice_variances_equal_conditional_variances(self, p):
+        r = ng_report(Params(p=p), TOL)
+        cv = conditional_variances(Params(p=p), TOL)
+        assert (r.var_q_cond, r.var_x_cond) == (cv.var_q_cond, cv.var_x_cond)
 
 
 class TestMarginalLimits:

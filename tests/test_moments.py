@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from spdc_ng import moments
 from spdc_ng.distributions import Params, make_density
 from spdc_ng.moments import (Cov2, conditional_variances, covariance_closed,
                              covariance_numeric, epr_product,
+                             find_epr_crossings,
                              gaussian_conditional_variances,
                              gaussian_epr_product, mancini_boundary,
                              mancini_product, schmidt_number)
@@ -78,6 +80,18 @@ class TestEpr:
     def test_product_near_crossing(self):
         assert epr_product(Params(p=0.556), TOL).product == pytest.approx(
             0.25, abs=5e-3)
+
+    def test_crossings_are_roots(self):
+        for root in find_epr_crossings(TOL):
+            assert abs(epr_product(Params(p=root), TOL).product - 0.25) <= 1e-7
+
+    def test_crossings_need_a_sign_change(self, monkeypatch):
+        # The Gaussian product stays below 1/4 off P = 1/sqrt(alpha) = 1.49,
+        # so the bracket [0.1, 1] holds no root.
+        monkeypatch.setattr(moments, "epr_product",
+                            lambda params, tol=None: gaussian_epr_product(0.45, params))
+        with pytest.raises(ValueError):
+            find_epr_crossings(TOL)
 
     def test_gaussian_bound_and_schmidt_identity(self):
         for alpha in (0.45, 0.72, 1.0):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import (matching_alpha, shape_constants, sinc,
                              sine_integral, sint)
 
@@ -113,6 +114,12 @@ class TestShapeConstants:
         sc = shape_constants()
         assert abs(sc.a1 - 1.40076661) <= 10 * sc.errors["a1"] + 1e-9
         assert abs(sc.a2 - 0.59093548) <= 10 * sc.errors["a2"] + 1e-9
+
+    def test_b1_is_the_sinc_zeroth_moment(self):
+        tol = QuadTolerance()
+        direct, _ = integrate_1d(lambda x: sinc(x * x) ** 2,
+                                 Domain.full_line(osc_scale=1.0), tol)
+        assert shape_constants(tol).b1 == direct
 
     def test_memoized(self):
         assert shape_constants() is shape_constants()
