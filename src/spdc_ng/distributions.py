@@ -100,49 +100,46 @@ class Params:
         return cls(p=p, sigma=sigma, physical=phys)
 
 
-def _factors(plane, model, params, alpha):
-    """Sum/difference factor callables, domains, and kernel feature scales.
+def _factors(plane, model, params, alpha, tol):
+    """Sum/difference factor callables, domains, kernel feature scales and
+    full-line integrals.
 
-    Returns (g, k, dom_g, dom_k, k_freq, k_width, g_width) where k_freq(v)
-    is the local phase slope |d phase / dv| of the oscillatory kernel (0 for
-    Gaussian models), k_width the central feature width of k, and g_width
-    the 1/e width of g.
+    Returns (g, k, dom_g, dom_k, k_freq, k_width, g_width, zg, zk) where
+    k_freq(v) is the local phase slope |d phase / dv| of the oscillatory
+    kernel (0 for Gaussian models), k_width the central feature width of k,
+    g_width the 1/e width of g, and zg, zk the integrals of g and k.  As
+    k(v) = shape(c v^2), zk is b1/sqrt(c) (sinc), a1/sqrt(c) (sint) or
+    sqrt(pi/c) (Gaussian); zg is sqrt(pi) g_width.
     """
-    p, sigma = params.p, params.sigma
+    p = params.p
+    g_width = 1.0 if plane == "far_field" else params.sigma
 
-    if plane == "far_field":
-        def g(u):
-            return np.exp(-np.asarray(u, float) ** 2)
-        g_width = 1.0
-    else:
-        def g(u):
-            return np.exp(-(np.asarray(u, float) / sigma) ** 2)
-        g_width = sigma
+    def g(u):
+        return np.exp(-(np.asarray(u, float) / g_width) ** 2)
+
     dom_g = Domain.full_line()
+    zg = math.sqrt(math.pi) * g_width
 
     if model == "spdc":
+        sc = shape_constants(tol)
         if plane == "far_field":
-            c = 0.5 * p * p
-
-            def k(v):
-                return sinc(c * np.asarray(v, float) ** 2) ** 2
+            c, shape, z_shape = 0.5 * p * p, sinc, sc.b1
+            k_width = math.sqrt(2.0) / p
 
             def k_freq(v):
                 return p * p * abs(v)
-
-            k_width = math.sqrt(2.0) / p
-            dom_k = Domain.full_line(osc_scale=c)
         else:
-            c = 1.0 / (2.0 * p * p)
-
-            def k(v):
-                return sint(c * np.asarray(v, float) ** 2) ** 2
+            c, shape, z_shape = 1.0 / (2.0 * p * p), sint, sc.a1
+            k_width = math.sqrt(2.0) * p
 
             def k_freq(v):
                 return abs(v) / (p * p)
 
-            k_width = math.sqrt(2.0) * p
-            dom_k = Domain.full_line(osc_scale=c)
+        def k(v):
+            return shape(c * np.asarray(v, float) ** 2) ** 2
+
+        dom_k = Domain.full_line(osc_scale=c)
+        zk = z_shape / math.sqrt(c)
     else:
         a = float(alpha)
         if plane == "far_field":
@@ -158,8 +155,9 @@ def _factors(plane, model, params, alpha):
 
         k_width = 1.0 / math.sqrt(c)
         dom_k = Domain.full_line()
+        zk = math.sqrt(math.pi / c)
 
-    return g, k, dom_g, dom_k, k_freq, k_width, g_width
+    return g, k, dom_g, dom_k, k_freq, k_width, g_width, zg, zk
 
 
 class DensitySpec:
@@ -212,7 +210,8 @@ class DensitySpec:
 
 
 def make_density(plane, model, form, params, tol=None, *, alpha=None, fixed=0.0):
-    """Construct a normalized density; normalization is always by quadrature."""
+    """Construct a normalized density.  A joint takes its normalization
+    from the closed forms of ``_factors``; a conditional integrates its own."""
     if plane not in PLANES:
         raise ValueError(f"unknown plane {plane!r}")
     if model not in MODELS:
@@ -226,15 +225,10 @@ def make_density(plane, model, form, params, tol=None, *, alpha=None, fixed=0.0)
         raise ValueError("alpha applies to the gaussian model only")
     tol = tol or QuadTolerance()
 
-    g, k, dom_g, dom_k, k_freq, k_width, g_width = _factors(plane, model, params, alpha)
-    zg, eg = integrate_1d(g, dom_g, tol)
-    zk, ek = integrate_1d(k, dom_k, tol)
-    z = zg * zk
-    if not (z > 0 and np.isfinite(z)):
-        raise RuntimeError("normalization integral is not positive and finite")
-
-    spec = DensitySpec(plane, model, "joint", params, 1.0 / z, alpha=alpha,
-                       tol=tol, factor_plus=g, factor_minus=k,
+    g, k, dom_g, dom_k, k_freq, k_width, g_width, zg, zk = _factors(
+        plane, model, params, alpha, tol)
+    spec = DensitySpec(plane, model, "joint", params, 1.0 / (zg * zk),
+                       alpha=alpha, tol=tol, factor_plus=g, factor_minus=k,
                        dom_plus=dom_g, dom_minus=dom_k, z_plus=zg, z_minus=zk,
                        k_freq=k_freq, k_width=k_width, g_width=g_width)
 

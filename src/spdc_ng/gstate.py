@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import covariance_closed
 from .quadrature import QuadTolerance
-from .specfun import shape_constants
 
 __all__ = [
     "TwoModeCov",
@@ -83,17 +83,12 @@ class SymplecticSpectrum:
 def two_mode_cov(params, tol=None):
     """Covariance matrix of the two-photon state at the given parameters.
 
-    Entries come from the closed-form variances: a, c carry the position
-    sum/difference moments (sint-kernel shape constants), b, d the momentum
-    ones (sinc kernel, exact ratio 3/4).
+    Entries are the closed-form joint covariances: a, c the position ones
+    (near field), b, d the momentum ones (far field).
     """
-    p = params.p
-    sc = shape_constants(tol)
-    s2 = params.sigma ** 2
-    t2 = 4.0 * sc.a2 / sc.a1 * p * p
-    return TwoModeCov(a=0.25 * (s2 + t2), c=0.25 * (s2 - t2),
-                      b=0.25 * (1.0 + 3.0 / (p * p)),
-                      d=0.25 * (1.0 - 3.0 / (p * p)))
+    x = covariance_closed("near_field", params, tol)
+    q = covariance_closed("far_field", params, tol)
+    return TwoModeCov(a=x.var1, c=x.cov, b=q.var1, d=q.cov)
 
 
 def symplectic_spectrum(v: TwoModeCov):

@@ -141,6 +141,7 @@ def moments_1d(spec, tol=None):
 
     Marginals reuse their parent joint's factor variances (exact reduction;
     their mean is zero by symmetry); conditionals integrate their own pdf.
+    An origin slice g(x/sqrt(2)) k(x/sqrt(2)) is even, so its mean is 0.
     """
     if spec.ndim != 1:
         raise ValueError("moments_1d expects a 1-D form")
@@ -149,29 +150,30 @@ def moments_1d(spec, tol=None):
         s2_u, s2_v = _factor_variances(spec.parent, tol)
         return 0.0, 0.5 * (s2_u + s2_v)
     dom = spec.domain()
-    m1, _ = integrate_1d(lambda x: x * spec.pdf1(x), dom, tol,
-                         seed_points=spec.seeds)
+    m1 = 0.0
+    if spec.fixed != 0.0:
+        m1, _ = integrate_1d(lambda x: x * spec.pdf1(x), dom, tol,
+                             seed_points=spec.seeds)
     m2, _ = integrate_1d(lambda x: x * x * spec.pdf1(x), dom, tol,
                          seed_points=spec.seeds)
     return m1, m2 - m1 * m1
 
 
-def _conditional_variance(plane, params, tol, fixed=0.0):
-    """Variance of the spdc slice p(xi1 | xi2 = fixed) on one plane."""
+def _conditional_variance(plane, params, tol):
+    """Variance of the spdc origin slice p(xi1 | xi2 = 0) on one plane."""
     joint = make_density(plane, "spdc", "joint", params, tol)
-    _, var = moments_1d(conditional_of(joint, fixed, tol), tol)
+    _, var = moments_1d(conditional_of(joint, 0.0, tol), tol)
     return var
 
 
-def conditional_variances(params, tol=None, fixed_q=0.0, fixed_x=0.0):
-    """Variances of the spdc conditional slices on both planes.
+def conditional_variances(params, tol=None):
+    """Variances of the spdc origin slices p(xi1 | xi2 = 0) on both planes.
 
-    Defaults to origin slices; other slice values are accepted because the
-    conditional shape depends on them once P is large.
+    For another slice value, take ``moments_1d(conditional_of(joint, c))``.
     """
     tol = tol or QuadTolerance()
-    var_q = _conditional_variance("far_field", params, tol, fixed_q)
-    var_x = _conditional_variance("near_field", params, tol, fixed_x)
+    var_q = _conditional_variance("far_field", params, tol)
+    var_x = _conditional_variance("near_field", params, tol)
     p2 = params.p ** 2
     return CondVariances(var_q_cond=var_q, var_x_cond=var_x,
                          var_q_norm=var_q * p2, var_x_norm=var_x / p2)

@@ -10,7 +10,10 @@ import pytest
 import spdc_ng
 from spdc_ng import distributions
 from spdc_ng.cli import _report_record, _sweep_values, main
+from spdc_ng.distributions import Params, conditional_of, make_density
+from spdc_ng.moments import moments_1d
 from spdc_ng.quadrature import QuadTolerance
+from spdc_ng.specfun import shape_constants
 
 FAST = ["--abs-tol", "1e-8", "--rel-tol", "1e-6"]
 FAST_TOL = QuadTolerance(abs_tol=1e-8, rel_tol=1e-6)
@@ -139,8 +142,8 @@ class TestInstalledScript:
 
 
 def _count_calls(monkeypatch, *names):
-    """Count calls of the named distributions functions, through every
-    spdc_ng namespace that binds them."""
+    """Count calls of the named functions that distributions binds,
+    through every spdc_ng namespace that binds them."""
     counts = dict.fromkeys(names, 0)
     modules = [m for n, m in list(sys.modules.items())
                if m is not None and (n == "spdc_ng" or n.startswith("spdc_ng."))]
@@ -170,3 +173,41 @@ class TestConstructionCounts:
         counts = _count_calls(monkeypatch, "make_density")
         _sweep_values(quantity, 1.0, 1.0, (0.72,), FAST_TOL)
         assert counts == {"make_density": 1}
+
+    @pytest.mark.parametrize("p", (0.02, 1.0, 20.0))
+    def test_report_integral_count(self, monkeypatch, p):
+        shape_constants(FAST_TOL)
+        counts = _count_calls(monkeypatch, "integrate_1d")
+        _report_record(p, 1.0, FAST_TOL)
+        assert counts == {"integrate_1d": 20}
+
+    @pytest.mark.parametrize("quantity, calls", (("epr", 4),
+                                                 ("var_q_norm", 2),
+                                                 ("var_x_norm", 2),
+                                                 ("ng_cond", 6)))
+    def test_row_integral_count(self, monkeypatch, quantity, calls):
+        shape_constants(FAST_TOL)
+        counts = _count_calls(monkeypatch, "integrate_1d")
+        _sweep_values(quantity, 1.0, 1.0, (0.72,), FAST_TOL)
+        assert counts == {"integrate_1d": calls}
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("model, alpha", (("spdc", None),
+                                              ("gaussian", 0.72)))
+    def test_joint_integrates_nothing(self, monkeypatch, plane, model, alpha):
+        shape_constants(FAST_TOL)
+        counts = _count_calls(monkeypatch, "integrate_1d")
+        make_density(plane, model, "joint", Params(p=1.0), FAST_TOL,
+                     alpha=alpha)
+        assert counts == {"integrate_1d": 0}
+
+    def test_origin_slice_mean_is_not_integrated(self, monkeypatch):
+        j = make_density("near_field", "spdc", "joint", Params(p=1.0),
+                         FAST_TOL)
+        origin = conditional_of(j, 0.0, FAST_TOL)
+        off = conditional_of(j, 0.4, FAST_TOL)
+        counts = _count_calls(monkeypatch, "integrate_1d")
+        mean, _ = moments_1d(origin, FAST_TOL)
+        assert mean == 0.0 and counts == {"integrate_1d": 1}
+        mean, _ = moments_1d(off, FAST_TOL)
+        assert abs(mean) > 1e-3 and counts == {"integrate_1d": 3}

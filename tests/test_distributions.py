@@ -51,6 +51,20 @@ class TestNormalization:
         zv, _ = integrate_1d(j.factor_minus, j.dom_minus, TOL)
         assert j.norm * zu * zv == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("model, alpha", (("spdc", None),
+                                              ("gaussian", 0.72)))
+    @pytest.mark.parametrize("p", (0.0034, 1.0, 30.0))
+    def test_factor_norms_match_quadrature(self, plane, model, alpha, p):
+        # The closed forms sqrt(pi) sigma and b1/sqrt(c), a1/sqrt(c) or
+        # sqrt(pi/c) are the integrals the factor domains would give.
+        j = make_density(plane, model, "joint", Params(p=p, sigma=2.0), TOL,
+                         alpha=alpha)
+        zu, _ = integrate_1d(j.factor_plus, j.dom_plus, TOL)
+        zv, _ = integrate_1d(j.factor_minus, j.dom_minus, TOL)
+        assert j.z_plus == pytest.approx(zu, rel=1e-12)
+        assert j.z_minus == pytest.approx(zv, rel=1e-12)
+
     def test_far_norm_closed_form(self):
         for p in (0.3, 1.0, 2.5):
             j = make_density("far_field", "spdc", "joint", Params(p=p), TOL)
