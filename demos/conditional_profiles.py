@@ -1,9 +1,10 @@
 """Origin-conditional cross sections vs their Gaussian stand-ins.
 
 Writes the far-field conditional density at P = 2 together with the two
-width-matched Gaussian models (alpha at the 1/e and 1/e^2 matching
-levels) to conditional_profiles.csv — the same dataset `spdc-ng figure
-1c` produces — and prints a crude ASCII rendering of the central region.
+Gaussian models alpha = 0.45 and 0.72 on 41 points of [-2.5, 2.5] to
+conditional_profiles.csv, and prints a crude ASCII rendering of it.  The
+same curves at full resolution (201 points over +-5 slice standard
+deviations) come from `spdc-ng figure 1c`.
 """
 
 import numpy as np

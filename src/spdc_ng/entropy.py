@@ -1,13 +1,12 @@
 """Differential entropy, negentropy, and the non-Gaussianity measures.
 
-All entropies are in bits (log base 2).  Joint densities factorize in the
-rotated coordinates u, v with unit Jacobian, so their entropy splits into
-
-    H[p] = log2(Zu * Zv) + (1/ln 2) * ( -<ln g>_u - <ln k>_v ),
-
-two 1-D integrals.  Negentropy is the entropy of the moment-matched normal
-minus the density's own entropy: non-negative, zero exactly for Gaussians,
-and invariant under affine changes of coordinates.
+All entropies are in bits (log base 2).  A joint density factorizes in the
+rotated coordinates u, v with unit Jacobian, so its entropy is a closed form:
+log2(sqrt(pi e) g_width) for the Gaussian factor plus log2(k_width) and the
+unit-scale shape entropy, from the shape constants, for the kernel.
+Negentropy is the entropy of the moment-matched normal minus the density's
+own entropy: non-negative, zero exactly for Gaussians, and invariant under
+affine changes of coordinates.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_H_UNIT_GAUSS = 0.5 * math.log2(math.pi * math.e)   # of exp(-s^2) / sqrt(pi)
 
 
 @dataclass(frozen=True)
@@ -81,25 +81,29 @@ class NgReport:
     var_x_cond: float
 
 
-def _entropy_1d(pdf, dom, tol, seeds=()):
-    """(-integral p ln p, err) for a 1-D density over ``dom`` (nats)."""
-    v, e = integrate_1d(lambda x: _xlogx(pdf(x)), dom, tol, seed_points=seeds)
-    return -v, e
+def _shape_entropy(plane, sc):
+    """(entropy, err) in bits of the unit-scale kernel shape of a plane,
+    sinc(s^2)^2 / b1 or sint(s^2)^2 / a1: log2(z) - i / (z ln 2) with i the
+    log-integral (2 i_ff for sinc, by parity), err from the constants'."""
+    e = sc.errors
+    if plane == "far_field":
+        z, i, e_z, e_i = sc.b1, 2.0 * sc.i_ff, e["b1"], 2.0 * e["i_ff"]
+    else:
+        z, i, e_z, e_i = sc.a1, sc.i_nf, e["a1"], e["i_nf"]
+    h = math.log2(z) - i / (z * _LN2)
+    return h, (abs(1.0 / z + i / (z * z)) * e_z + e_i / z) / _LN2
 
 
 def _entropy_with_err(spec, tol):
     """Differential entropy in bits with a propagated error estimate."""
     if spec.ndim == 2:
-        zu, zv = spec.z_plus, spec.z_minus
-        su, eu = _entropy_1d(lambda u: spec.factor_plus(u) / zu,
-                             spec.dom_plus, tol)
-        sv, ev = _entropy_1d(lambda v: spec.factor_minus(v) / zv,
-                             spec.dom_minus, tol)
-        # -<ln g>_u = S_u - ln Zu for the normalized factor; reassemble.
-        h_nats = math.log(zu * zv) + (su - math.log(zu)) + (sv - math.log(zv))
-        return h_nats / _LN2, (eu + ev) / _LN2
-    h_nats, err = _entropy_1d(spec.pdf1, spec.domain(), tol, seeds=spec.seeds)
-    return h_nats / _LN2, err / _LN2
+        h_shape, err = (_shape_entropy(spec.plane, shape_constants(tol))
+                        if spec.model == "spdc" else (_H_UNIT_GAUSS, 0.0))
+        return (_H_UNIT_GAUSS + math.log2(spec.g_width) + h_shape
+                + math.log2(spec.k_width), err)
+    v, err = integrate_1d(lambda x: _xlogx(spec.pdf1(x)), spec.domain(), tol,
+                          seed_points=spec.seeds)
+    return -v / _LN2, err / _LN2
 
 
 def differential_entropy(spec, tol=None):
@@ -137,7 +141,9 @@ def _negentropy(spec, tol, moment):
 
 def negentropy(spec, tol=None):
     """Negentropy of a density spec, with the matched Gaussian sharing the
-    spec's own mean and (co)variance."""
+    spec's own mean and (co)variance.  A joint's ``err_estimate`` is the
+    shape constants' error through its closed-form entropy (0 for a
+    Gaussian kernel); a 1-D form's is that of its entropy integral."""
     tol = tol or spec.tol
     if spec.ndim == 2:
         moment = _factor_variances(spec, tol)
@@ -201,12 +207,10 @@ def marginal_negentropy_limits(tol=None):
     tol = tol or QuadTolerance()
     sc = shape_constants(tol)
 
-    # sinc^2(s^2) shape: zeroth and second moments from the memoized
-    # constants, log-integral = 2 * i_ff by parity.
-    h_sinc = math.log2(sc.b1) - 2.0 * sc.i_ff / (sc.b1 * _LN2)
+    h_sinc, _ = _shape_entropy("far_field", sc)
     n_small = 0.5 * math.log2(2.0 * math.pi * math.e * sc.sinc_moment_ratio) - h_sinc
 
-    h_sint = math.log2(sc.a1) - sc.i_nf / (sc.a1 * _LN2)
+    h_sint, _ = _shape_entropy("near_field", sc)
     n_large = 0.5 * math.log2(2.0 * math.pi * math.e * sc.a2 / sc.a1) - h_sint
     return n_small, n_large
 

@@ -1,4 +1,4 @@
-"""Adaptive 1-D and 2-D quadrature over finite and unbounded domains.
+"""Adaptive 1-D quadrature over finite and unbounded domains.
 
 The integrands this library meets fall in three families:
 
@@ -22,6 +22,7 @@ All integrand callables must accept numpy arrays (vectorized evaluation).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ __all__ = [
     "Domain",
     "QuadratureError",
     "integrate_1d",
-    "integrate_2d_rotated",
 ]
 
 _G7_X, _G7_W = leggauss(7)
@@ -126,8 +126,6 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
 
     `seed_points` are interior breakpoints known to host narrow features.
     """
-    import heapq
-
     edges = {a, b}
     for p in seed_points:
         if a < p < b:
@@ -323,19 +321,3 @@ def integrate_1d(f, domain, tol=None, seed_points=()):
     if domain.kind == "half_line":
         return _integrate_mapped_half(f, domain.a, tol)
     raise ValueError(f"unknown domain kind {domain.kind!r}")
-
-
-def integrate_2d_rotated(f_plus, f_minus, d_plus, d_minus, tol=None):
-    """2-D integral of a separable-in-rotated-coordinates integrand.
-
-    For integrands of the form ``f(x, y) = f_plus(u) * f_minus(v)`` with
-    ``u = (x + y)/sqrt(2)`` and ``v = (x - y)/sqrt(2)`` (an orthogonal change
-    of variables, unit Jacobian), the double integral is the product of two
-    1-D integrals.
-    """
-    tol = tol or QuadTolerance()
-    vp, ep = integrate_1d(f_plus, d_plus, tol)
-    vm, em = integrate_1d(f_minus, d_minus, tol)
-    value = vp * vm
-    err = abs(vp) * em + abs(vm) * ep + ep * em
-    return value, err

@@ -179,12 +179,14 @@ class TestConstructionCounts:
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
         _report_record(p, 1.0, FAST_TOL)
-        assert counts == {"integrate_1d": 20}
+        assert counts == {"integrate_1d": 14}
 
     @pytest.mark.parametrize("quantity, calls", (("epr", 4),
                                                  ("var_q_norm", 2),
                                                  ("var_x_norm", 2),
-                                                 ("ng_cond", 6)))
+                                                 ("ng_cond", 6),
+                                                 ("ng_total", 2),
+                                                 ("ng_marg", 8)))
     def test_row_integral_count(self, monkeypatch, quantity, calls):
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")

@@ -13,8 +13,9 @@ from spdc_ng.distributions import (DegenerateSliceError, Params, Physical,
                                    _convolve_valid, conditional_of,
                                    eval_density, gaussian_equivalent,
                                    make_density, marginal_of)
+from spdc_ng.entropy import differential_entropy, negentropy
 from spdc_ng.quadrature import QuadTolerance, integrate_1d
-from spdc_ng.specfun import shape_constants
+from spdc_ng.specfun import _xlogx, shape_constants
 
 TOL = QuadTolerance()
 
@@ -64,6 +65,29 @@ class TestNormalization:
         zv, _ = integrate_1d(j.factor_minus, j.dom_minus, TOL)
         assert j.z_plus == pytest.approx(zu, rel=1e-12)
         assert j.z_minus == pytest.approx(zv, rel=1e-12)
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("model, alpha", (("spdc", None),
+                                              ("gaussian", 0.72)))
+    @pytest.mark.parametrize("p", (0.0034, 1.0, 30.0))
+    def test_joint_entropy_matches_quadrature(self, plane, model, alpha, p):
+        # The closed-form joint entropy is the sum of the two normalized
+        # factor entropies; its error estimate covers the quadrature's
+        # departure from it (a Gaussian kernel's entropy is exact).
+        j = make_density(plane, model, "joint", Params(p=p, sigma=2.0), TOL,
+                         alpha=alpha)
+        h_bits = 0.0
+        for f, dom, z in ((j.factor_plus, j.dom_plus, j.z_plus),
+                          (j.factor_minus, j.dom_minus, j.z_minus)):
+            v, _ = integrate_1d(lambda t, f=f, z=z: _xlogx(f(t) / z), dom, TOL)
+            h_bits -= v / math.log(2.0)
+        diff = abs(differential_entropy(j, TOL) - h_bits)
+        assert diff <= 1e-7
+        err = negentropy(j, TOL).err_estimate
+        if model == "spdc":
+            assert err >= diff
+        else:
+            assert err == 0.0 and diff <= 1e-12
 
     def test_far_norm_closed_form(self):
         for p in (0.3, 1.0, 2.5):

@@ -9,7 +9,8 @@ None of the references below calls the library's quadrature
 * the marginal negentropies come from a direct discrete convolution of the
   rotated factors, a trapezoid entropy and the analytic a/z^4 tail;
 * the near-field origin-slice negentropy comes from the zero-split
-  Gauss-Legendre rule.
+  Gauss-Legendre rule;
+* delta_B follows from A1, A2 in closed form.
 
 Each test compares the library with its reference, and the literal targets
 of ``tests/test_acceptance.py`` with the reference they were taken from.
@@ -22,9 +23,11 @@ import numpy as np
 import pytest
 from scipy.special import sici
 
+from spdc_ng.cli import _sweep_values
 from spdc_ng.distributions import Params
 from spdc_ng.entropy import ng_report
 from spdc_ng.moments import mancini_boundary
+from spdc_ng.quadrature import QuadTolerance
 from spdc_ng.specfun import shape_constants
 
 LN2 = math.log(2.0)
@@ -111,6 +114,17 @@ class TestShapeConstantsMpmath:
         a1, a2 = mp_constants[15]
         assert abs(a2 - 0.5909) <= 5e-5
         assert abs(math.sqrt(a1 / (4.0 * a2)) - 0.7698) <= 5e-5
+
+
+class TestDeltaBError:
+    def test_error_covers_reference(self):
+        # At sigma = 1 the state's spectrum is (1/2, sqrt(3 A2 / A1)), and
+        # delta_B is the entropy term of the second eigenvalue alone.
+        nu = math.sqrt(3.0 * A2_REF / A1_REF)
+        ref = (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
+        value, err = _sweep_values("delta_b", 1.0, 1.0, (), QuadTolerance())
+        assert err > 0.0
+        assert abs(value - ref) <= err
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spdc_ng.quadrature import (Domain, QuadratureError, QuadTolerance,
-                                integrate_1d, integrate_2d_rotated)
+                                integrate_1d)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -93,14 +93,6 @@ class TestErrorHonesty:
             if abs(v - ref) <= max(e, 1e-13):
                 honest += 1
         assert honest >= len(self.CASES) - 1
-
-
-class TestRotated2d:
-    def test_product_gaussian(self):
-        v, _ = integrate_2d_rotated(lambda u: np.exp(-u * u),
-                                    lambda w: np.exp(-2.0 * w * w),
-                                    Domain.full_line(), Domain.full_line())
-        assert v == pytest.approx(SQRT_PI * math.sqrt(math.pi / 2.0), rel=1e-9)
 
 
 class TestFailurePaths:
