@@ -275,7 +275,9 @@ class _MarginalTable:
     local average before convolving, and lookups past ``z_cap`` fall back to
     the smooth averaged envelope Zg * c_env / (osc * z^2)^2.  Both averages
     are exact to O(1/phase^2); the regions they serve carry ~1e-4 of the
-    probability mass.
+    probability mass.  The table grows geometrically: a lookup beyond its
+    reach rebuilds it at least twice as wide (and at most to 1.05 ``z_cap``),
+    so the short reach asked first by a tail probe adds no build.
     """
 
     _PHASE_SMOOTH = 300.0
@@ -297,8 +299,10 @@ class _MarginalTable:
 
     def _k_eff(self, v):
         v_c = math.sqrt(self._PHASE_SMOOTH / self.osc)
-        out = np.where(np.abs(v) <= v_c, self.joint.factor_minus(v),
-                       self._k_avg(np.where(np.abs(v) > v_c, v, v_c)))
+        near = np.abs(v) <= v_c
+        out = np.empty_like(v)
+        out[near] = self.joint.factor_minus(v[near])
+        out[~near] = self._k_avg(v[~near])
         return out
 
     def _build(self, zmax):
@@ -323,7 +327,8 @@ class _MarginalTable:
         zmax = min(zmax, self.z_cap)
         with self._lock:
             if self._spline is None or zmax > self._zmax:
-                self._build(max(zmax * 1.05, 1.0))
+                self._build(min(max(1.05 * zmax, 2.0 * self._zmax, 1.0),
+                                1.05 * self.z_cap))
 
     def c_of(self, z):
         z = np.asarray(z, float)

@@ -15,7 +15,11 @@ hopeless (the number of oscillations up to any useful cutoff exceeds any
 subdivision budget), so :class:`Domain` can carry a quadratic-phase hint: the
 tail is then summed period-by-period in the squared variable and the partial
 sums are extrapolated polynomially in ``K**-0.5`` (``K`` = number of periods),
-which captures the half-integer-power decay of the remainders.
+which captures the half-integer-power decay of the remainders.  Each tail
+starts with a 64-block probe: a tail that extra (e.g. Gaussian) damping has
+already killed ends there, provided its block amplitude decayed across the
+probe; every other tail continues into full rounds with the same blocks and
+sums as if there were no probe.
 
 All integrand callables must accept numpy arrays (vectorized evaluation).
 """
@@ -216,18 +220,47 @@ def _tail_blocks(f, scale, y_start, tol, side):
     in y = scale*x**2 are integrated by a 15-point Gauss rule (one period of
     the dominant oscillation each; a 7-point rule gives the per-block error),
     then partial sums over K blocks are extrapolated in K**-0.5.
+
+    A probe of the first ``n_probe`` = 64 blocks comes first.  It settles the
+    tail on its own if it passes the round's convergence test (still budgeted
+    against a full round of ``n_blocks``) and its block amplitude decays by
+    at least 20x across it; the decay guard keeps a tail whose tiny amplitude
+    is flat from being cut after 64 blocks.  Otherwise the rest of the first
+    round is appended to the probe, so tails that need rounds get the same
+    blocks, sums and extrapolation as without a probe.
     """
     n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
+    n_probe = 64
 
-    def block_values(y0_first, nodes_x, nodes_w, npts):
-        k = np.arange(n_blocks)[:, None]
-        y0 = y0_first + math.pi * k
+    def block_values(y0_first, k, nodes_x, nodes_w):
+        y0 = y0_first + math.pi * k[:, None]
         h = math.pi / 2.0
         y = y0 + h * (nodes_x[None, :] + 1.0)
         x = side * np.sqrt(y / scale)
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(n_blocks, npts)
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(len(k), len(nodes_x))
         dxdy = 1.0 / (2.0 * np.sqrt(scale * y))
         return h * (vals * dxdy * nodes_w[None, :]).sum(axis=1)
+
+    def rules(y0_first, k):
+        """15- and 7-point values of blocks ``k`` counted from ``y0_first``."""
+        return (block_values(y0_first, k, _G15_X, _G15_W),
+                block_values(y0_first, k, _G7_X, _G7_W))
+
+    def amp(b15):
+        """Block amplitude at the start and at the end of a run of blocks."""
+        return float(np.abs(b15[:8]).max()), float(np.abs(b15[-8:]).max())
+
+    def settled(amp_end, running):
+        return amp_end <= tol.tail_cutoff * running or \
+            amp_end * n_blocks <= 0.1 * max(tol.abs_tol, tol.rel_tol * running)
+
+    b15, b7 = rules(y_start, np.arange(n_probe))
+    amp_start, amp_end = amp(b15)
+    if amp_end <= 0.05 * amp_start and settled(amp_end, abs(float(b15.sum()))):
+        # Extra damping killed the tail within the probe.
+        return float(np.cumsum(b15)[-1]), float(np.abs(b15 - b7).sum()) + amp_end
+    rest15, rest7 = rules(y_start, np.arange(n_probe, n_blocks))
+    b15, b7 = np.concatenate([b15, rest15]), np.concatenate([b7, rest7])
 
     # Accumulate rounds of blocks until the block amplitude is below the
     # truncation cutoff (integrands with an extra exponential damping need a
@@ -236,17 +269,15 @@ def _tail_blocks(f, scale, y_start, tol, side):
     rule_err = 0.0
     y0 = y_start
     converged = False
-    for _round in range(8):
-        b15 = block_values(y0, _G15_X, _G15_W, 15)
-        b7 = block_values(y0, _G7_X, _G7_W, 7)
+    for n_round in range(8):
+        if n_round:
+            b15, b7 = rules(y0, np.arange(n_blocks))
         rule_err += float(np.abs(b15 - b7).sum())
         chunks15.append(b15)
         y0 += math.pi * n_blocks
         running = abs(math.fsum(float(c.sum()) for c in chunks15))
-        amp_start = float(np.abs(b15[:8]).max())
-        amp_end = float(np.abs(b15[-8:]).max())
-        if amp_end <= tol.tail_cutoff * running or \
-           amp_end * n_blocks <= 0.1 * max(tol.abs_tol, tol.rel_tol * running):
+        amp_start, amp_end = amp(b15)
+        if settled(amp_end, running):
             converged = True
             break
         if amp_end > 0.05 * amp_start:

@@ -181,6 +181,23 @@ class TestConstructionCounts:
         _report_record(p, 1.0, FAST_TOL)
         assert counts == {"integrate_1d": 14}
 
+    @pytest.mark.parametrize("p, builds", ((0.0034, 5), (0.05, 6), (1.0, 6),
+                                           (20.0, 6), (99.0, 5)))
+    def test_report_marginal_table_builds(self, monkeypatch, p, builds):
+        # Each table grows at least 2x per rebuild, so the tail probe's
+        # shorter first reach adds no build.
+        shape_constants()
+        calls = []
+        build = distributions._MarginalTable._build
+
+        def spy(table, zmax):
+            calls.append(zmax)
+            return build(table, zmax)
+
+        monkeypatch.setattr(distributions._MarginalTable, "_build", spy)
+        _report_record(p, 1.0, QuadTolerance())
+        assert len(calls) <= builds
+
     @pytest.mark.parametrize("quantity, calls", (("epr", 4),
                                                  ("var_q_norm", 2),
                                                  ("var_x_norm", 2),

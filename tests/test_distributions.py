@@ -10,9 +10,10 @@ import pytest
 
 import spdc_ng
 from spdc_ng.distributions import (DegenerateSliceError, Params, Physical,
-                                   _convolve_valid, conditional_of,
-                                   eval_density, gaussian_equivalent,
-                                   make_density, marginal_of)
+                                   _convolve_valid, _MarginalTable,
+                                   conditional_of, eval_density,
+                                   gaussian_equivalent, make_density,
+                                   marginal_of)
 from spdc_ng.entropy import differential_entropy, negentropy
 from spdc_ng.quadrature import QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx, shape_constants
@@ -170,6 +171,29 @@ class TestMarginalConvolution:
         a, b = rng.standard_normal(na), rng.standard_normal(nb)
         assert np.array_equal(_convolve_valid(a, b),
                               fftconvolve(a, b, mode="valid"))
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("p", (0.0034, 1.0))
+    def test_k_eff_evaluates_kernel_inside_v_c_only(self, monkeypatch, plane,
+                                                    p):
+        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        table = _MarginalTable(j, z_cap=1.0)
+        v_c = math.sqrt(table._PHASE_SMOOTH / table.osc)
+        v = (2.0 * v_c / 5000.0) * np.arange(-5000, 5001)
+        kernel = j.factor_minus
+        former = np.where(np.abs(v) <= v_c, kernel(v),
+                          table._k_avg(np.where(np.abs(v) > v_c, v, v_c)))
+        seen = []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return kernel(x)
+
+        monkeypatch.setattr(j, "factor_minus", spy)
+        out = table._k_eff(v)
+        assert np.abs(np.concatenate(seen)).max() <= v_c
+        assert sum(map(len, seen)) == np.count_nonzero(np.abs(v) <= v_c)
+        assert np.array_equal(out.view(np.int64), former.view(np.int64))
 
     def test_import_does_not_load_scipy_signal(self):
         src = os.path.dirname(os.path.dirname(spdc_ng.__file__))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from spdc_ng import quadrature
 from spdc_ng.quadrature import (Domain, QuadratureError, QuadTolerance,
                                 integrate_1d)
+from spdc_ng.specfun import _xlogx, sinc, sint
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -65,6 +67,127 @@ class TestOscillatory:
         v, _ = integrate_1d(lambda x: np.exp(-x * x) * np.cos(10.0 * x * x),
                             Domain.full_line(osc_scale=10.0))
         assert v == pytest.approx(ref, rel=1e-8)
+
+
+def _all_blocks_tail(f, scale, y_start, tol, side):
+    """Reference tail sum without the probe: every round evaluates all
+    ``n_blocks`` blocks, as ``_tail_blocks`` did before it probed first."""
+    n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
+
+    def block_values(y0_first, nodes_x, nodes_w, npts):
+        k = np.arange(n_blocks)[:, None]
+        y0 = y0_first + math.pi * k
+        h = math.pi / 2.0
+        y = y0 + h * (nodes_x[None, :] + 1.0)
+        x = side * np.sqrt(y / scale)
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(n_blocks, npts)
+        dxdy = 1.0 / (2.0 * np.sqrt(scale * y))
+        return h * (vals * dxdy * nodes_w[None, :]).sum(axis=1)
+
+    chunks15 = []
+    rule_err = 0.0
+    y0 = y_start
+    converged = False
+    for _round in range(8):
+        b15 = block_values(y0, quadrature._G15_X, quadrature._G15_W, 15)
+        b7 = block_values(y0, quadrature._G7_X, quadrature._G7_W, 7)
+        rule_err += float(np.abs(b15 - b7).sum())
+        chunks15.append(b15)
+        y0 += math.pi * n_blocks
+        running = abs(math.fsum(float(c.sum()) for c in chunks15))
+        amp_start = float(np.abs(b15[:8]).max())
+        amp_end = float(np.abs(b15[-8:]).max())
+        if amp_end <= tol.tail_cutoff * running or \
+           amp_end * n_blocks <= 0.1 * max(tol.abs_tol, tol.rel_tol * running):
+            converged = True
+            break
+        if amp_end > 0.05 * amp_start:
+            break
+    b15 = np.concatenate(chunks15)
+    partial = np.cumsum(b15)
+    tail_amp = float(np.abs(b15[-8:]).max())
+    if converged:
+        return float(partial[-1]), rule_err + tail_amp
+    ks = []
+    k = len(b15)
+    while k >= 32 and len(ks) < 7:
+        ks.append(k)
+        k //= 2
+    us = [kk ** -0.5 for kk in ks]
+    ss = [partial[kk - 1] for kk in ks]
+    value, extrap_err = quadrature._extrapolate_to_zero(us, ss)
+    err = 4.0 * extrap_err + rule_err + min(tail_amp, tol.tail_cutoff)
+    return float(value), err
+
+
+def _counted(f):
+    """``f`` plus a list holding the number of points it was called on."""
+    seen = [0]
+
+    def g(x):
+        seen[0] += np.size(x)
+        return f(x)
+
+    return g, seen
+
+
+PROBE_POINTS = 64 * (15 + 7)    # a 64-block probe, both Gauss rules
+
+
+class TestTailProbe:
+    Y_START = 32.0 * math.pi    # where integrate_1d's core hands over at scale 1
+    ALGEBRAIC = {
+        "sinc2": lambda x: sinc(x * x) ** 2,
+        "x2_sint2": lambda x: x * x * sint(x * x) ** 2,
+        "xlogx_sint2": lambda x: _xlogx(sint(x * x) ** 2),
+    }
+
+    @pytest.mark.parametrize("abs_tol", (1e-10, 1e-7))
+    @pytest.mark.parametrize("side", (+1, -1))
+    @pytest.mark.parametrize("name", sorted(ALGEBRAIC))
+    def test_algebraic_tails_are_exact(self, name, side, abs_tol):
+        tol = QuadTolerance(abs_tol=abs_tol)
+        f, seen = _counted(self.ALGEBRAIC[name])
+        got = quadrature._tail_blocks(f, 1.0, self.Y_START, tol, side)
+        assert seen[0] > PROBE_POINTS      # the probe did not settle it
+        ref = _all_blocks_tail(self.ALGEBRAIC[name], 1.0, self.Y_START, tol,
+                               side)
+        assert got == ref                  # value and err, bit for bit
+
+    @pytest.mark.parametrize("side", (+1, -1))
+    def test_dead_tail_pays_only_the_probe(self, side):
+        # exp(-x^2) sinc^2(10 x^2) from x = 3.2, where the Gaussian is still
+        # 4e-5: it falls by exp(-pi/10) per block and is dead within the probe.
+        scale, tol = 10.0, QuadTolerance()
+
+        def damped(x):
+            return np.exp(-x * x) * sinc(scale * x * x) ** 2
+
+        f, seen = _counted(damped)
+        value, err = quadrature._tail_blocks(f, scale, 102.4, tol, side)
+        assert seen[0] == PROBE_POINTS
+        ref, _ = _all_blocks_tail(damped, scale, 102.4, tol, side)
+        assert value > 0 and err >= abs(value - ref)
+
+    # Tails the probe must hand on to the full round.  "flat": every block
+    # adds c*pi/4, so 64 tiny blocks pass the absolute test, as two tails at
+    # P = 0.0034 would, but show no decay.  "slow": the blocks decay 80x
+    # across the probe, but its last ones times a full round of 4096 still
+    # exceed the absolute budget.
+    UNSETTLED = {
+        "flat": lambda x: 7.3e-16 * np.abs(x) * np.cos(x * x) ** 2,
+        "slow": lambda x: 2e-11 * np.abs(x) * np.cos(x * x) ** 2
+        * np.exp(-x * x / 40.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNSETTLED))
+    def test_probe_hands_unsettled_tails_to_the_round(self, name):
+        tol = QuadTolerance()
+        f, seen = _counted(self.UNSETTLED[name])
+        got = quadrature._tail_blocks(f, 1.0, self.Y_START, tol, +1)
+        assert seen[0] > PROBE_POINTS
+        assert got == _all_blocks_tail(self.UNSETTLED[name], 1.0,
+                                       self.Y_START, tol, +1)
 
 
 class TestErrorHonesty:
