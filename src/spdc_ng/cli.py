@@ -86,10 +86,7 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
             vq, vx = gaussian_conditional_variances(a, params)
             out.append(vx * vq)
     elif quantity == "mancini":
-        sc = shape_constants(tol)
-        out += [mancini_product(params, "spdc", tol=tol),
-                4.0 * p * p / sc.a1 * (sc.errors["a2"]
-                                       + sc.a2 / sc.a1 * sc.errors["a1"])]
+        out += [mancini_product(params, "spdc", tol=tol), 0.0]
         for a in alphas:
             out.append(mancini_product(params, "gaussian", alpha=a))
     elif quantity == "var_q_norm":
@@ -105,12 +102,7 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
             _, vx = gaussian_conditional_variances(a, params)
             out.append(vx / (p * p))
     elif quantity == "delta_b":
-        # Only nu_minus = sqrt(3 A2/A1) reads A1, A2; f' = ln((nu+.5)/(nu-.5)).
-        sc = shape_constants(tol)
-        nu = symplectic_spectrum(two_mode_cov(params, tol)).nu_minus
-        out += [delta_b(params, tol),
-                math.log((nu + 0.5) / (nu - 0.5)) * 0.5 * nu
-                * (sc.errors["a2"] / sc.a2 + sc.errors["a1"] / sc.a1)]
+        out += [delta_b(params, tol), 0.0]
     elif quantity == "ng_total":
         nf = negentropy(_joint("far_field", params, tol), tol)
         nn = negentropy(_joint("near_field", params, tol), tol)

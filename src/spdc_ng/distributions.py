@@ -101,15 +101,14 @@ class Params:
 
 
 def _factors(plane, model, params, alpha, tol):
-    """Sum/difference factor callables, domains, kernel feature scales and
+    """Sum/difference factor callables, domains, feature widths and
     full-line integrals.
 
-    Returns (g, k, dom_g, dom_k, k_freq, k_width, g_width, zg, zk) where
-    k_freq(v) is the local phase slope |d phase / dv| of the oscillatory
-    kernel (0 for Gaussian models), k_width the central feature width of k,
-    g_width the 1/e width of g, and zg, zk the integrals of g and k.  As
-    k(v) = shape(c v^2), zk is b1/sqrt(c) (sinc), a1/sqrt(c) (sint) or
-    sqrt(pi/c) (Gaussian); zg is sqrt(pi) g_width.
+    Returns (g, k, dom_g, dom_k, k_width, g_width, zg, zk) where k_width is
+    the central feature width of k, g_width the 1/e width of g, and zg, zk
+    the integrals of g and k.  As k(v) = shape(c v^2), zk is b1/sqrt(c)
+    (sinc), a1/sqrt(c) (sint) or sqrt(pi/c) (Gaussian); zg is sqrt(pi)
+    g_width.
     """
     p = params.p
     g_width = 1.0 if plane == "far_field" else params.sigma
@@ -125,15 +124,9 @@ def _factors(plane, model, params, alpha, tol):
         if plane == "far_field":
             c, shape, z_shape = 0.5 * p * p, sinc, sc.b1
             k_width = math.sqrt(2.0) / p
-
-            def k_freq(v):
-                return p * p * abs(v)
         else:
             c, shape, z_shape = 1.0 / (2.0 * p * p), sint, sc.a1
             k_width = math.sqrt(2.0) * p
-
-            def k_freq(v):
-                return abs(v) / (p * p)
 
         def k(v):
             return shape(c * np.asarray(v, float) ** 2) ** 2
@@ -150,14 +143,11 @@ def _factors(plane, model, params, alpha, tol):
         def k(v):
             return np.exp(-c * np.asarray(v, float) ** 2)
 
-        def k_freq(v):
-            return 0.0
-
         k_width = 1.0 / math.sqrt(c)
         dom_k = Domain.full_line()
         zk = math.sqrt(math.pi / c)
 
-    return g, k, dom_g, dom_k, k_freq, k_width, g_width, zg, zk
+    return g, k, dom_g, dom_k, k_width, g_width, zg, zk
 
 
 class DensitySpec:
@@ -171,7 +161,7 @@ class DensitySpec:
                  fixed=None, tol=None, pdf1=None, osc_scale=None, seeds=(),
                  core_extent=0.0, factor_plus=None, factor_minus=None,
                  dom_plus=None, dom_minus=None, z_plus=None, z_minus=None,
-                 k_freq=None, k_width=None, g_width=None, parent=None):
+                 k_width=None, g_width=None, parent=None):
         self.plane = plane
         self.model = model
         self.form = form
@@ -188,8 +178,7 @@ class DensitySpec:
         self.dom_minus = dom_minus
         self.z_plus = z_plus         # factor normalizations
         self.z_minus = z_minus
-        self.k_freq = k_freq         # kernel feature scales, see _factors
-        self.k_width = k_width
+        self.k_width = k_width       # feature widths, see _factors
         self.g_width = g_width
         # 1-D evaluation path (marginal/conditional forms only).
         self.pdf1 = pdf1
@@ -225,12 +214,12 @@ def make_density(plane, model, form, params, tol=None, *, alpha=None, fixed=0.0)
         raise ValueError("alpha applies to the gaussian model only")
     tol = tol or QuadTolerance()
 
-    g, k, dom_g, dom_k, k_freq, k_width, g_width, zg, zk = _factors(
+    g, k, dom_g, dom_k, k_width, g_width, zg, zk = _factors(
         plane, model, params, alpha, tol)
     spec = DensitySpec(plane, model, "joint", params, 1.0 / (zg * zk),
                        alpha=alpha, tol=tol, factor_plus=g, factor_minus=k,
                        dom_plus=dom_g, dom_minus=dom_k, z_plus=zg, z_minus=zk,
-                       k_freq=k_freq, k_width=k_width, g_width=g_width)
+                       k_width=k_width, g_width=g_width)
 
     if form == "joint":
         return spec
@@ -310,7 +299,7 @@ class _MarginalTable:
         wg = 7.0 * j.g_width
         vmax = zmax + wg
         v_c = math.sqrt(self._PHASE_SMOOTH / self.osc)
-        f_max = j.k_freq(min(vmax, v_c))
+        f_max = 2.0 * self.osc * min(vmax, v_c)   # phase slope of osc v^2
         h = math.pi / (18.0 * f_max + 33.0 / j.g_width + 33.0 / j.k_width + 18.0)
         m = int(math.ceil(wg / h))
         n = int(math.ceil(zmax / h)) + 2

@@ -84,14 +84,14 @@ class NgReport:
 def _shape_entropy(plane, sc):
     """(entropy, err) in bits of the unit-scale kernel shape of a plane,
     sinc(s^2)^2 / b1 or sint(s^2)^2 / a1: log2(z) - i / (z ln 2) with i the
-    log-integral (2 i_ff for sinc, by parity), err from the constants'."""
-    e = sc.errors
+    log-integral (2 i_ff for sinc, by parity), err that of the log-integral
+    (z is exact)."""
     if plane == "far_field":
-        z, i, e_z, e_i = sc.b1, 2.0 * sc.i_ff, e["b1"], 2.0 * e["i_ff"]
+        z, i, e_i = sc.b1, 2.0 * sc.i_ff, 2.0 * sc.errors["i_ff"]
     else:
-        z, i, e_z, e_i = sc.a1, sc.i_nf, e["a1"], e["i_nf"]
+        z, i, e_i = sc.a1, sc.i_nf, sc.errors["i_nf"]
     h = math.log2(z) - i / (z * _LN2)
-    return h, (abs(1.0 / z + i / (z * z)) * e_z + e_i / z) / _LN2
+    return h, e_i / z / _LN2
 
 
 def _entropy_with_err(spec, tol):
@@ -142,8 +142,8 @@ def _negentropy(spec, tol, moment):
 def negentropy(spec, tol=None):
     """Negentropy of a density spec, with the matched Gaussian sharing the
     spec's own mean and (co)variance.  A joint's ``err_estimate`` is the
-    shape constants' error through its closed-form entropy (0 for a
-    Gaussian kernel); a 1-D form's is that of its entropy integral."""
+    log-integral shape constant's error through its closed-form entropy (0
+    for a Gaussian kernel); a 1-D form's is that of its entropy integral."""
     tol = tol or spec.tol
     if spec.ndim == 2:
         moment = _factor_variances(spec, tol)

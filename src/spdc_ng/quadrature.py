@@ -42,6 +42,8 @@ __all__ = [
 
 _G7_X, _G7_W = leggauss(7)
 _G15_X, _G15_W = leggauss(15)
+# A tail block below this fraction of the running tail sum ends the tail.
+_TAIL_CUTOFF = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -64,10 +66,9 @@ class QuadTolerance:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    tail_cutoff: float = 1e-12
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.tail_cutoff > 0):
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
@@ -78,7 +79,6 @@ class QuadTolerance:
             abs_tol=self.abs_tol * factor,
             rel_tol=min(self.rel_tol * factor, 0.1),
             max_subdivisions=self.max_subdivisions,
-            tail_cutoff=self.tail_cutoff,
         )
 
 
@@ -251,7 +251,7 @@ def _tail_blocks(f, scale, y_start, tol, side):
         return float(np.abs(b15[:8]).max()), float(np.abs(b15[-8:]).max())
 
     def settled(amp_end, running):
-        return amp_end <= tol.tail_cutoff * running or \
+        return amp_end <= _TAIL_CUTOFF * running or \
             amp_end * n_blocks <= 0.1 * max(tol.abs_tol, tol.rel_tol * running)
 
     b15, b7 = rules(y_start, np.arange(n_probe))
@@ -305,7 +305,7 @@ def _tail_blocks(f, scale, y_start, tol, side):
     # Truncation: blocks whose amplitude already fell below the cutoff
     # contribute nothing more; otherwise the extrapolation difference is the
     # working remainder estimate.
-    err = 4.0 * extrap_err + rule_err + min(tail_amp, tol.tail_cutoff)
+    err = 4.0 * extrap_err + rule_err + min(tail_amp, _TAIL_CUTOFF)
     return float(value), err
 
 

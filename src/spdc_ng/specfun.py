@@ -4,7 +4,8 @@ sinc(x) = sin(x)/x and sint(x) = 1 - (2/pi)*Si(x) are the momentum- and
 position-plane phase-matching kernels; they form a Fourier-transform pair for
 quadratic arguments.  The universal shape constants are the handful of
 improper integrals of their squares that every closed-form variance and
-entropy expression is built from.
+entropy expression is built from.  The moments A1, A2, b1 and b2 are exact
+closed forms; only the two log-integrals i_ff and i_nf are integrated.
 """
 
 from __future__ import annotations
@@ -90,16 +91,20 @@ def _xlogx(p):
 
 @dataclass(frozen=True)
 class ShapeConstants:
-    """Quadrature-derived universal constants of the squared kernels.
+    """Universal constants of the squared kernels.
 
-    a1, a2: zeroth and second moment of sint(x^2)^2 over the full line.
+    a1, a2: zeroth and second moment of sint(x^2)^2 over the full line,
+            in closed form (see ``_A1``, ``_A2``).
     i_ff:   half-line integral of sinc(v^2)^2 * ln(sinc(v^2)^2).
     i_nf:   full-line integral of sint(s^2)^2 * ln(sint(s^2)^2).  (The
             full-line convention is the one that reproduces the near-field
             joint-entropy constant +1.434.)
-    sinc_moment_ratio: second-moment ratio of the sinc(x^2)^2 weight
-            (analytically 3/4).
-    b1:     zeroth moment of sinc(x^2)^2 over the full line.
+    sinc_moment_ratio: second-moment ratio b2/b1 of the sinc(x^2)^2 weight,
+            exactly 3/4.
+    b1:     zeroth moment of sinc(x^2)^2 over the full line, 4 sqrt(pi)/3.
+
+    Only i_ff and i_nf are integrated; ``errors`` holds their quadrature
+    error estimates and 0.0 for the four closed forms.
     """
 
     a1: float
@@ -111,6 +116,19 @@ class ShapeConstants:
     errors: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+# A1 and A2 are int_0^inf sint(y)^2 y^(mu-1) dy at mu = 1/2 and 3/2.  With
+# sint(y) = (2/pi) int_1^inf sin(y s)/s ds the y-integral is a Gamma
+# integral, and the double integral left over s, t >= 1 factorizes under
+# t = r s (for A2 after one integration by parts).
+_LN_SILVER = math.log(1.0 + math.sqrt(2.0))
+_A1 = 4.0 * math.sqrt(2.0 * math.pi) * (math.pi - 2.0 * _LN_SILVER) / math.pi ** 2
+_A2 = (2.0 * math.sqrt(2.0 * math.pi) * (math.pi - math.sqrt(2.0) + 2.0 * _LN_SILVER)
+       / (3.0 * math.pi ** 2))
+# b1 and b2 are int_0^inf sin(t)^2 t^(mu-1) dt at mu = -3/2 and -1/2:
+# 4 sqrt(pi)/3 and sqrt(pi), so b2/b1 = 3/4.
+_B1 = 4.0 * math.sqrt(math.pi) / 3.0
+_SINC_MOMENT_RATIO = 0.75
+
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
@@ -119,40 +137,25 @@ def _compute(tol):
     full_osc = Domain.full_line(osc_scale=1.0)
     half_osc = Domain.half_line(0.0, osc_scale=1.0)
 
-    def sint2(x):
-        return sint(x * x) ** 2
-
-    def sinc2(x):
-        return sinc(x * x) ** 2
-
-    results = {}
-
     def run(name, f, dom):
         try:
-            v, e = integrate_1d(f, dom, tol)
+            return integrate_1d(f, dom, tol)
         except Exception as exc:
             raise RuntimeError(f"shape constant {name!r} failed to converge") from exc
-        results[name] = (v, e)
-        return v
 
-    a1 = run("a1", sint2, full_osc)
-    a2 = run("a2", lambda x: x * x * sint2(x), full_osc)
-    i_ff = run("i_ff", lambda v: _xlogx(sinc2(v)), half_osc)
-    i_nf = run("i_nf", lambda s: _xlogx(sint2(s)), full_osc)
-    b1 = run("b1", sinc2, full_osc)
-    b2 = run("b2", lambda x: x * x * sinc2(x), full_osc)
-
-    ratio = b2 / b1
-    errors = {k: results[k][1] for k in results}
-    errors["sinc_moment_ratio"] = (results["b2"][1] + ratio * results["b1"][1]) / b1
-    return ShapeConstants(a1=a1, a2=a2, i_ff=i_ff, i_nf=i_nf,
-                          sinc_moment_ratio=ratio, b1=b1, errors=errors)
+    i_ff, e_ff = run("i_ff", lambda v: _xlogx(sinc(v * v) ** 2), half_osc)
+    i_nf, e_nf = run("i_nf", lambda s: _xlogx(sint(s * s) ** 2), full_osc)
+    errors = {"a1": 0.0, "a2": 0.0, "b1": 0.0, "sinc_moment_ratio": 0.0,
+              "i_ff": e_ff, "i_nf": e_nf}
+    return ShapeConstants(a1=_A1, a2=_A2, i_ff=i_ff, i_nf=i_nf,
+                          sinc_moment_ratio=_SINC_MOMENT_RATIO, b1=_B1,
+                          errors=errors)
 
 
 def shape_constants(tol=None):
     """The memoized ShapeConstants at the given tolerance."""
     tol = tol or QuadTolerance()
-    key = (tol.abs_tol, tol.rel_tol, tol.max_subdivisions, tol.tail_cutoff)
+    key = (tol.abs_tol, tol.rel_tol, tol.max_subdivisions)
     with _cache_lock:
         if key not in _cache:
             _cache[key] = _compute(tol)

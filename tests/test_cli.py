@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import spdc_ng
-from spdc_ng import distributions
+from spdc_ng import distributions, specfun
 from spdc_ng.cli import _report_record, _sweep_values, main
 from spdc_ng.distributions import Params, conditional_of, make_density
 from spdc_ng.moments import moments_1d
@@ -197,6 +197,14 @@ class TestConstructionCounts:
         monkeypatch.setattr(distributions._MarginalTable, "_build", spy)
         _report_record(p, 1.0, QuadTolerance())
         assert len(calls) <= builds
+
+    def test_cold_shape_constants_integrate_two(self, monkeypatch):
+        # a1, a2, b1 and the sinc moment ratio are closed forms; only the
+        # log-integrals i_ff and i_nf are integrated.
+        monkeypatch.setattr(specfun, "_cache", {})
+        counts = _count_calls(monkeypatch, "integrate_1d")
+        shape_constants(FAST_TOL)
+        assert counts == {"integrate_1d": 2}
 
     @pytest.mark.parametrize("quantity, calls", (("epr", 4),
                                                  ("var_q_norm", 2),

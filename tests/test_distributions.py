@@ -59,13 +59,18 @@ class TestNormalization:
     @pytest.mark.parametrize("p", (0.0034, 1.0, 30.0))
     def test_factor_norms_match_quadrature(self, plane, model, alpha, p):
         # The closed forms sqrt(pi) sigma and b1/sqrt(c), a1/sqrt(c) or
-        # sqrt(pi/c) are the integrals the factor domains would give.
+        # sqrt(pi/c) are the integrals the factor domains would give.  The
+        # spdc kernel's algebraic tail leaves its quadrature within its own
+        # error estimate of the exact b1 or a1, not within 1e-12.
         j = make_density(plane, model, "joint", Params(p=p, sigma=2.0), TOL,
                          alpha=alpha)
         zu, _ = integrate_1d(j.factor_plus, j.dom_plus, TOL)
-        zv, _ = integrate_1d(j.factor_minus, j.dom_minus, TOL)
+        zv, zv_err = integrate_1d(j.factor_minus, j.dom_minus, TOL)
         assert j.z_plus == pytest.approx(zu, rel=1e-12)
-        assert j.z_minus == pytest.approx(zv, rel=1e-12)
+        if model == "spdc":
+            assert abs(j.z_minus - zv) <= zv_err
+        else:
+            assert j.z_minus == pytest.approx(zv, rel=1e-12)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("model, alpha", (("spdc", None),

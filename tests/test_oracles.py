@@ -5,7 +5,8 @@ None of the references below calls the library's quadrature
 
 * the kernel shape constants A1, A2 come from mpmath, summing pi-periods of
   y = x^2 with Levin acceleration, and again from a Gauss-Legendre rule split
-  at the zeros of sint with the period-averaged analytic tail;
+  at the zeros of sint with the period-averaged analytic tail.  The library
+  takes both from closed forms, which the mpmath sums pin to 1e-12;
 * the marginal negentropies come from a direct discrete convolution of the
   rotated factors, a trapezoid entropy and the analytic a/z^4 tail;
 * the near-field origin-slice negentropy comes from the zero-split
@@ -99,13 +100,24 @@ class TestShapeConstantsMpmath:
         assert abs(a2 - A2_REF) < 1e-12
 
     def test_library_within_its_errors(self, mp_constants):
+        # The reference itself is good to 1e-12.
         a1, a2 = mp_constants[15]
         sc = shape_constants()
-        assert abs(sc.a1 - a1) <= sc.errors["a1"]
-        assert abs(sc.a2 - a2) <= sc.errors["a2"]
+        e_a1, e_a2 = sc.errors["a1"] + 1e-12, sc.errors["a2"] + 1e-12
+        assert abs(sc.a1 - a1) <= e_a1
+        assert abs(sc.a2 - a2) <= e_a2
         boundary = math.sqrt(a1 / (4.0 * a2))
-        rel_err = 0.5 * (sc.errors["a1"] / sc.a1 + sc.errors["a2"] / sc.a2)
+        rel_err = 0.5 * (e_a1 / sc.a1 + e_a2 / sc.a2)
         assert abs(mancini_boundary() - boundary) <= rel_err * boundary
+
+    def test_closed_forms(self, mp_constants):
+        # The library's A1 = 4 sqrt(2 pi) (pi - 2 ln(1 + sqrt 2)) / pi^2 and
+        # A2 = 2 sqrt(2 pi) (pi - sqrt 2 + 2 ln(1 + sqrt 2)) / (3 pi^2) agree
+        # with the reference to its own accuracy.
+        a1, a2 = mp_constants[15]
+        sc = shape_constants()
+        assert abs(sc.a1 - a1) <= 1e-12
+        assert abs(sc.a2 - a2) <= 1e-12
 
     def test_acceptance_targets(self, mp_constants):
         # Criterion 1 pins a2 at 0.5909 and criterion 10 the Mancini
@@ -119,12 +131,13 @@ class TestShapeConstantsMpmath:
 class TestDeltaBError:
     def test_error_covers_reference(self):
         # At sigma = 1 the state's spectrum is (1/2, sqrt(3 A2 / A1)), and
-        # delta_B is the entropy term of the second eigenvalue alone.
+        # delta_B is the entropy term of the second eigenvalue alone.  A1 and
+        # A2 are exact, so delta_B is too and its error column is 0.
         nu = math.sqrt(3.0 * A2_REF / A1_REF)
         ref = (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
         value, err = _sweep_values("delta_b", 1.0, 1.0, (), QuadTolerance())
-        assert err > 0.0
-        assert abs(value - ref) <= err
+        assert err == 0.0
+        assert value == pytest.approx(ref, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _all_blocks_tail(f, scale, y_start, tol, side):
         running = abs(math.fsum(float(c.sum()) for c in chunks15))
         amp_start = float(np.abs(b15[:8]).max())
         amp_end = float(np.abs(b15[-8:]).max())
-        if amp_end <= tol.tail_cutoff * running or \
+        if amp_end <= quadrature._TAIL_CUTOFF * running or \
            amp_end * n_blocks <= 0.1 * max(tol.abs_tol, tol.rel_tol * running):
             converged = True
             break
@@ -116,7 +116,7 @@ def _all_blocks_tail(f, scale, y_start, tol, side):
     us = [kk ** -0.5 for kk in ks]
     ss = [partial[kk - 1] for kk in ks]
     value, extrap_err = quadrature._extrapolate_to_zero(us, ss)
-    err = 4.0 * extrap_err + rule_err + min(tail_amp, tol.tail_cutoff)
+    err = 4.0 * extrap_err + rule_err + min(tail_amp, quadrature._TAIL_CUTOFF)
     return float(value), err
 
 

@@ -112,14 +112,36 @@ class TestShapeConstants:
 
     def test_error_estimates_honest(self):
         sc = shape_constants()
-        assert abs(sc.a1 - 1.40076661) <= 10 * sc.errors["a1"] + 1e-9
-        assert abs(sc.a2 - 0.59093548) <= 10 * sc.errors["a2"] + 1e-9
+        assert abs(sc.a1 - 1.400766606211) <= 10 * sc.errors["a1"] + 1e-12
+        assert abs(sc.a2 - 0.5909354838685) <= 10 * sc.errors["a2"] + 1e-12
 
-    def test_b1_is_the_sinc_zeroth_moment(self):
-        tol = QuadTolerance()
-        direct, _ = integrate_1d(lambda x: sinc(x * x) ** 2,
-                                 Domain.full_line(osc_scale=1.0), tol)
-        assert shape_constants(tol).b1 == direct
+    def test_moments_are_closed_forms(self):
+        sc = shape_constants()
+        ln_silver = math.log(1.0 + math.sqrt(2.0))
+        assert sc.a1 == (4.0 * math.sqrt(2.0 * math.pi)
+                         * (math.pi - 2.0 * ln_silver) / math.pi ** 2)
+        assert sc.a2 == (2.0 * math.sqrt(2.0 * math.pi)
+                         * (math.pi - math.sqrt(2.0) + 2.0 * ln_silver)
+                         / (3.0 * math.pi ** 2))
+        assert sc.b1 == 4.0 * math.sqrt(math.pi) / 3.0
+        assert sc.sinc_moment_ratio == 0.75
+        for name in ("a1", "a2", "b1", "sinc_moment_ratio"):
+            assert sc.errors[name] == 0.0
+        assert sc.errors["i_ff"] > 0.0 and sc.errors["i_nf"] > 0.0
+
+    @pytest.mark.parametrize("name, f", (
+        ("a1", lambda x: sint(x * x) ** 2),
+        ("a2", lambda x: x * x * sint(x * x) ** 2),
+        ("b1", lambda x: sinc(x * x) ** 2),
+        ("b2", lambda x: x * x * sinc(x * x) ** 2)))
+    def test_quadrature_within_its_error_of_closed_forms(self, name, f):
+        # The algebraic-tail quadrature stays tested as the oracle of the
+        # exact moments; b2 = sqrt(pi) = b1 * sinc_moment_ratio.
+        sc = shape_constants()
+        exact = math.sqrt(math.pi) if name == "b2" else getattr(sc, name)
+        value, err = integrate_1d(f, Domain.full_line(osc_scale=1.0),
+                                  QuadTolerance())
+        assert abs(value - exact) <= err
 
     def test_memoized(self):
         assert shape_constants() is shape_constants()
