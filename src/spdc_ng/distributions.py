@@ -131,7 +131,7 @@ def _factors(plane, model, params, alpha, tol):
         def k(v):
             return shape(c * np.asarray(v, float) ** 2) ** 2
 
-        dom_k = Domain.full_line(osc_scale=c)
+        dom_k = Domain.full_line(osc_scale=c, even=True)
         zk = z_shape / math.sqrt(c)
     else:
         a = float(alpha)
@@ -159,7 +159,7 @@ class DensitySpec:
 
     def __init__(self, plane, model, form, params, norm, *, alpha=None,
                  fixed=None, tol=None, pdf1=None, osc_scale=None, seeds=(),
-                 core_extent=0.0, factor_plus=None, factor_minus=None,
+                 core_extent=0.0, even=False, factor_plus=None, factor_minus=None,
                  dom_plus=None, dom_minus=None, z_plus=None, z_minus=None,
                  k_width=None, g_width=None, parent=None):
         self.plane = plane
@@ -185,6 +185,7 @@ class DensitySpec:
         self.osc_scale = osc_scale   # oscillation hint for integrals over the pdf
         self.seeds = tuple(seeds)    # known feature locations for the core region
         self.core_extent = core_extent  # smooth-bulk reach, beyond which the tail is pure kernel
+        self.even = even             # pdf1(-x) == pdf1(x), declared to the domain
         self.parent = parent         # originating joint, for 1-D forms
 
     def domain(self):
@@ -192,7 +193,7 @@ class DensitySpec:
         if self.ndim != 1:
             raise ValueError("domain() applies to 1-D forms; joints factorize")
         return Domain.full_line(osc_scale=self.osc_scale,
-                                core_extent=self.core_extent)
+                                core_extent=self.core_extent, even=self.even)
 
     def __call__(self, *point):
         return eval_density(self, *point)
@@ -259,14 +260,18 @@ class _MarginalTable:
     The marginal is m(xi2) = norm*sqrt(2)*C(sqrt(2)*xi2) with
     C(z) = integral g(w) k(w - z) dw.  C is tabulated on a symmetric uniform
     z-grid; the step resolves the Gaussian, the kernel core, and the output
-    ripple.  Two asymptotic devices keep the table bounded: the kernel's
-    deep oscillatory tail (phase beyond ~300 rad) is replaced by its exact
-    local average before convolving, and lookups past ``z_cap`` fall back to
-    the smooth averaged envelope Zg * c_env / (osc * z^2)^2.  Both averages
-    are exact to O(1/phase^2); the regions they serve carry ~1e-4 of the
-    probability mass.  The table grows geometrically: a lookup beyond its
-    reach rebuilds it at least twice as wide (and at most to 1.05 ``z_cap``),
-    so the short reach asked first by a tail probe adds no build.
+    ripple.  Two asymptotic devices keep the table bounded.  The kernel's
+    deep oscillatory tail (phase beyond ~300 rad) is replaced by its local
+    average c_env / (osc * v^2)^2 before convolving, exact to O(1/phase^2).
+    Lookups past the table's reach (never short of ``z_cap``) fall back to
+    that average at z, Zg * c_env / (osc * z^2)^2, which leaves out the
+    Gaussian smoothing: the convolution is larger by the factor
+    1 + 10 s^2/z^2 + 105 s^4/z^4 + ..., s^2 = g_width^2/2, so the fallback
+    sits about 2% below the spline at the table edge.  The regions they
+    serve carry ~1e-4 of the probability mass.  The table
+    grows geometrically: a lookup beyond its reach rebuilds it at least
+    twice as wide (and at most to 1.05 ``z_cap``), so the short reach asked
+    first by a tail probe adds no build.
     """
 
     _PHASE_SMOOTH = 300.0
@@ -370,7 +375,7 @@ def marginal_of(spec2d, tol=None):
 
     out = DensitySpec(j.plane, j.model, "marginal", j.params, 1.0,
                       alpha=j.alpha, tol=tol, pdf1=pdf, osc_scale=osc,
-                      seeds=(0.0,), core_extent=extent, parent=j)
+                      seeds=(0.0,), core_extent=extent, even=True, parent=j)
 
     # Cross-check the table against direct quadrature at a few points; a
     # mis-aligned convolution grid would corrupt every downstream entropy.
@@ -378,7 +383,8 @@ def marginal_of(spec2d, tol=None):
         bulk = -x2 + j.g_width * math.sqrt(2.0) * np.linspace(-10.0, 10.0, 21)
         direct, derr = integrate_1d(
             lambda x1, _x2=x2: eval_density(j, x1, np.full_like(np.asarray(x1, float), _x2)),
-            Domain.full_line(osc_scale=j.dom_minus.osc_scale / 2.0),
+            Domain.full_line(osc_scale=j.dom_minus.osc_scale / 2.0,
+                             even=x2 == 0.0),
             tol.scaled(100.0), seed_points=tuple(np.append(bulk, x2)))
         tab = float(pdf(x2))
         if abs(tab - direct) > 1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
@@ -409,7 +415,8 @@ def conditional_of(spec2d, fixed_value=0.0, tol=None):
     # invisible to the adaptive pass.
     gw = j.g_width * math.sqrt(2.0)
     seeds = tuple(np.concatenate([-c + gw * np.linspace(-10.0, 10.0, 21), [c]]))
-    dom = Domain.full_line(osc_scale=osc)
+    even = c == 0.0   # the origin slice g(x1/sqrt(2)) k(x1/sqrt(2))
+    dom = Domain.full_line(osc_scale=osc, even=even)
     s, serr = integrate_1d(slice_unnorm, dom, tol, seed_points=seeds)
     if not (s > 0) or not np.isfinite(s) or s <= 10.0 * serr:
         raise DegenerateSliceError(
@@ -420,7 +427,7 @@ def conditional_of(spec2d, fixed_value=0.0, tol=None):
 
     return DensitySpec(j.plane, j.model, "conditional_at", j.params, 1.0 / s,
                        alpha=j.alpha, fixed=c, tol=tol, pdf1=pdf,
-                       osc_scale=osc, seeds=seeds, parent=j)
+                       osc_scale=osc, seeds=seeds, even=even, parent=j)
 
 
 def gaussian_equivalent(spec2d, tol=None):

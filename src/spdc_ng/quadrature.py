@@ -15,11 +15,14 @@ hopeless (the number of oscillations up to any useful cutoff exceeds any
 subdivision budget), so :class:`Domain` can carry a quadratic-phase hint: the
 tail is then summed period-by-period in the squared variable and the partial
 sums are extrapolated polynomially in ``K**-0.5`` (``K`` = number of periods),
-which captures the half-integer-power decay of the remainders.  Each tail
-starts with a 64-block probe: a tail that extra (e.g. Gaussian) damping has
-already killed ends there, provided its block amplitude decayed across the
-probe; every other tail continues into full rounds with the same blocks and
-sums as if there were no probe.
+which captures the half-integer-power decay of the remainders.  Each block is
+evaluated once, on the 15 nodes of the nested Gauss-Kronrod 7-15 pair (K15
+value, |K15 - G7| error), where the adaptive panels pay 15 + 7 nodes for
+their Gauss pair.  Each tail starts with a 64-block probe: a tail that extra
+(e.g. Gaussian) damping has already killed ends there, provided its block
+amplitude decayed across the probe; every other tail continues into full
+rounds with the same blocks and sums as if there were no probe.  A full-line
+domain declared ``even`` sums its right tail once and takes it as the left.
 
 All integrand callables must accept numpy arrays (vectorized evaluation).
 """
@@ -42,6 +45,32 @@ __all__ = [
 
 _G7_X, _G7_W = leggauss(7)
 _G15_X, _G15_W = leggauss(15)
+
+
+def _symmetric(upper, sign=1.0):
+    """A 15- or 7-entry array symmetric about its middle, from the middle up;
+    ``sign`` -1 mirrors with a sign change (nodes)."""
+    return np.concatenate([sign * upper[:0:-1], upper])
+
+
+# Gauss-Kronrod 7-15 pair (QUADPACK QK15; Piessens et al., 1983) on [-1, 1]:
+# the 15 Kronrod nodes and weights, and the Gauss-7 weights of the nodes at
+# odd indices, which are the 7 Gauss nodes.  Listed from the middle up.
+_K15_X = _symmetric(np.array([
+    0.0, 0.207784955007898467600689403773245,
+    0.405845151377397166906606412076961, 0.586087235467691130294144845693013,
+    0.741531185599394439863864773280788, 0.864864423359769072789712788640926,
+    0.949107912342758524526189684047851, 0.991455371120812639206854697526329]),
+    -1.0)
+_K15_W = _symmetric(np.array([
+    0.209482141084727828012999174891714, 0.204432940075298892414161999234649,
+    0.190350578064785409913256402421014, 0.169004726639267902826583426598550,
+    0.140653259715525918745189590510238, 0.104790010322250183839876322541518,
+    0.063092092629978553290700663189204, 0.022935322010529224963732008058970]))
+_K15_G7_W = _symmetric(np.array([
+    0.417959183673469387755102040816327, 0.381830050505118944950369775488975,
+    0.279705391489276667901467771423780, 0.129484966168869693270611432679082]))
+
 # A tail block below this fraction of the running tail sum ends the tail.
 _TAIL_CUTOFF = 1e-12
 
@@ -89,6 +118,12 @@ class Domain:
     ``osc_scale``, when set, declares that the integrand oscillates at
     infinity with phase ``osc_scale * x**2`` (period ``pi`` in the squared
     variable), switching the unbounded part to block summation.
+
+    ``even``, full line only, declares that the integrand satisfies
+    f(-x) == f(x).  Like ``osc_scale`` it is a property of the integrand, not
+    a tuning option: with an oscillatory hint the right tail is then summed
+    once and also taken as the left one, which for an exactly even integrand
+    gives the same bits as summing both.  Without the hint it has no effect.
     """
 
     kind: str
@@ -96,6 +131,11 @@ class Domain:
     b: float = 0.0
     osc_scale: float | None = None
     core_extent: float = 0.0
+    even: bool = False
+
+    def __post_init__(self):
+        if self.even and self.kind != "full_line":
+            raise ValueError("only a full-line domain can declare an even integrand")
 
     @staticmethod
     def finite(a, b):
@@ -110,8 +150,9 @@ class Domain:
         return Domain("half_line", float(a), math.inf, osc_scale, float(core_extent))
 
     @staticmethod
-    def full_line(osc_scale=None, core_extent=0.0):
-        return Domain("full_line", -math.inf, math.inf, osc_scale, float(core_extent))
+    def full_line(osc_scale=None, core_extent=0.0, even=False):
+        return Domain("full_line", -math.inf, math.inf, osc_scale,
+                      float(core_extent), bool(even))
 
 
 def _panel_rule(f, a, b):
@@ -217,9 +258,11 @@ def _tail_blocks(f, scale, y_start, tol, side):
     """Integrate f over the tail |x| in [sqrt(y_start/scale), inf), one side.
 
     ``side`` is +1 for the right tail, -1 for the left.  Blocks of length pi
-    in y = scale*x**2 are integrated by a 15-point Gauss rule (one period of
-    the dominant oscillation each; a 7-point rule gives the per-block error),
-    then partial sums over K blocks are extrapolated in K**-0.5.
+    in y = scale*x**2 (one period of the dominant oscillation each) are
+    evaluated once, on the 15 nodes of the Gauss-Kronrod 7-15 pair: the
+    block's value is the Kronrod-15 sum and its rule error |K15 - G7|, with
+    the Gauss-7 sum taken on the 7 embedded nodes.  Partial sums over K
+    blocks are then extrapolated in K**-0.5.
 
     A probe of the first ``n_probe`` = 64 blocks comes first.  It settles the
     tail on its own if it passes the round's convergence test (still budgeted
@@ -232,19 +275,16 @@ def _tail_blocks(f, scale, y_start, tol, side):
     n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
     n_probe = 64
 
-    def block_values(y0_first, k, nodes_x, nodes_w):
+    def rules(y0_first, k):
+        """K15 and embedded G7 values of blocks ``k`` counted from ``y0_first``."""
         y0 = y0_first + math.pi * k[:, None]
         h = math.pi / 2.0
-        y = y0 + h * (nodes_x[None, :] + 1.0)
+        y = y0 + h * (_K15_X[None, :] + 1.0)
         x = side * np.sqrt(y / scale)
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(len(k), len(nodes_x))
-        dxdy = 1.0 / (2.0 * np.sqrt(scale * y))
-        return h * (vals * dxdy * nodes_w[None, :]).sum(axis=1)
-
-    def rules(y0_first, k):
-        """15- and 7-point values of blocks ``k`` counted from ``y0_first``."""
-        return (block_values(y0_first, k, _G15_X, _G15_W),
-                block_values(y0_first, k, _G7_X, _G7_W))
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(y.shape)
+        vals = vals / (2.0 * np.sqrt(scale * y))    # times dx/dy
+        return (h * (vals * _K15_W[None, :]).sum(axis=1),
+                h * (vals[:, 1::2] * _K15_G7_W[None, :]).sum(axis=1))
 
     def amp(b15):
         """Block amplitude at the start and at the end of a run of blocks."""
@@ -323,7 +363,10 @@ def _integrate_oscillatory(f, domain, tol, seed_points=()):
     if domain.kind == "full_line":
         core, core_err = _adaptive_finite(f, -xc, xc, tol, seed_points=seed_points)
         right, right_err = _tail_blocks(f, scale, y_start, tol, +1)
-        left, left_err = _tail_blocks(f, scale, y_start, tol, -1)
+        if domain.even:
+            left, left_err = right, right_err
+        else:
+            left, left_err = _tail_blocks(f, scale, y_start, tol, -1)
         return core + left + right, core_err + left_err + right_err
     if domain.kind == "half_line":
         if domain.a > xc:

@@ -134,7 +134,7 @@ _cache_lock = threading.Lock()
 
 
 def _compute(tol):
-    full_osc = Domain.full_line(osc_scale=1.0)
+    full_osc = Domain.full_line(osc_scale=1.0, even=True)
     half_osc = Domain.half_line(0.0, osc_scale=1.0)
 
     def run(name, f, dom):

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spdc_ng
-from spdc_ng import distributions, specfun
+from spdc_ng import distributions, quadrature, specfun
 from spdc_ng.cli import _report_record, _sweep_values, main
 from spdc_ng.distributions import Params, conditional_of, make_density
 from spdc_ng.moments import moments_1d
@@ -197,6 +198,23 @@ class TestConstructionCounts:
         monkeypatch.setattr(distributions._MarginalTable, "_build", spy)
         _report_record(p, 1.0, QuadTolerance())
         assert len(calls) <= builds
+
+    def test_report_integrand_points(self, monkeypatch):
+        # Every integral of a report is oscillatory.  12 of its 14 fold
+        # their left tail onto the right, and tail blocks take 15 points.
+        shape_constants()
+        points = [0]
+        run = quadrature._integrate_oscillatory
+
+        def spy(f, *args, **kwargs):
+            def counted(x):
+                points[0] += np.size(x)
+                return f(x)
+            return run(counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_integrate_oscillatory", spy)
+        _report_record(1.0, 1.0, QuadTolerance())
+        assert points[0] == 529044
 
     def test_cold_shape_constants_integrate_two(self, monkeypatch):
         # a1, a2, b1 and the sinc moment ratio are closed forms; only the

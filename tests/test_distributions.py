@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import spdc_ng
+from spdc_ng import quadrature, specfun
 from spdc_ng.distributions import (DegenerateSliceError, Params, Physical,
                                    _convolve_valid, _MarginalTable,
                                    conditional_of, eval_density,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
 from spdc_ng.entropy import differential_entropy, negentropy
+from spdc_ng.moments import _factor_variances
 from spdc_ng.quadrature import QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx, shape_constants
 
@@ -166,6 +168,79 @@ class TestStructure:
             make_density("mid_field", "spdc", "joint", Params(p=1.0))
         with pytest.raises(ValueError):
             make_density("far_field", "spdc", "slice", Params(p=1.0))
+
+
+def _oscillatory_calls(monkeypatch):
+    """A list that collects (integrand, domain) of every oscillatory
+    integral the library starts."""
+    calls = []
+    run = quadrature._integrate_oscillatory
+
+    def spy(f, domain, *args, **kwargs):
+        calls.append((f, domain))
+        return run(f, domain, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_integrate_oscillatory", spy)
+    return calls
+
+
+def _mirror_points(domain):
+    """Points from deep in the core out to where the last tail round ends."""
+    xc = max(math.sqrt(32.0 * math.pi / domain.osc_scale), domain.core_extent)
+    return xc * np.geomspace(1e-3, 40.0, 2001)
+
+
+def _bitwise_even(f, x):
+    return np.array_equal(np.asarray(f(-x)).view(np.int64),
+                          np.asarray(f(x)).view(np.int64))
+
+
+class TestEvenDeclarations:
+    """Each domain declared ``even`` carries an integrand with
+    f(-x) == f(x), bit for bit except where a marginal table's FFT
+    roundoff enters."""
+
+    PLANE_P = [(plane, p) for plane in ("far_field", "near_field")
+               for p in (0.0034, 1.0, 99.0)]
+
+    @pytest.mark.parametrize("plane, p", PLANE_P)
+    def test_kernel_variance_and_origin_slice(self, monkeypatch, plane, p):
+        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        calls = _oscillatory_calls(monkeypatch)
+        _factor_variances(j, TOL)
+        cond = conditional_of(j, 0.0, TOL)
+        negentropy(cond, TOL)          # the slice's entropy and variance
+        assert len(calls) == 4
+        for f, dom in calls:
+            assert dom.even and _bitwise_even(f, _mirror_points(dom))
+        assert cond.even and cond.domain().even
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_offset_slice_is_not_even(self, monkeypatch, plane):
+        j = make_density(plane, "spdc", "joint", Params(p=1.0), TOL)
+        calls = _oscillatory_calls(monkeypatch)
+        assert not conditional_of(j, 0.4, TOL).even
+        assert not calls[0][1].even
+
+    @pytest.mark.parametrize("plane, p", PLANE_P)
+    def test_marginal_and_its_cross_check(self, monkeypatch, plane, p):
+        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        calls = _oscillatory_calls(monkeypatch)
+        marg = marginal_of(j, TOL)
+        (f0, dom0), (_, dom1) = calls    # cross-checks at x2 = 0 and 0.7
+        assert dom0.even and _bitwise_even(f0, _mirror_points(dom0))
+        assert not dom1.even
+        assert marg.even and marg.domain().even
+        x = _mirror_points(marg.domain())
+        mirrored = marg.pdf1(-x)
+        assert np.abs(mirrored - marg.pdf1(x)).max() <= 1e-13 * mirrored.max()
+
+    def test_near_field_log_integral(self, monkeypatch):
+        calls = _oscillatory_calls(monkeypatch)
+        specfun._compute(TOL)
+        (_, dom_ff), (f_nf, dom_nf) = calls    # i_ff (half line), i_nf
+        assert not dom_ff.even
+        assert dom_nf.even and _bitwise_even(f_nf, _mirror_points(dom_nf))
 
 
 class TestMarginalConvolution:

@@ -74,23 +74,24 @@ def _all_blocks_tail(f, scale, y_start, tol, side):
     ``n_blocks`` blocks, as ``_tail_blocks`` did before it probed first."""
     n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
 
-    def block_values(y0_first, nodes_x, nodes_w, npts):
+    def block_values(y0_first):
+        """K15 and embedded G7 values of one round of blocks."""
         k = np.arange(n_blocks)[:, None]
         y0 = y0_first + math.pi * k
         h = math.pi / 2.0
-        y = y0 + h * (nodes_x[None, :] + 1.0)
+        y = y0 + h * (quadrature._K15_X[None, :] + 1.0)
         x = side * np.sqrt(y / scale)
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(n_blocks, npts)
-        dxdy = 1.0 / (2.0 * np.sqrt(scale * y))
-        return h * (vals * dxdy * nodes_w[None, :]).sum(axis=1)
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(n_blocks, 15)
+        vals = vals / (2.0 * np.sqrt(scale * y))
+        return (h * (vals * quadrature._K15_W[None, :]).sum(axis=1),
+                h * (vals[:, 1::2] * quadrature._K15_G7_W[None, :]).sum(axis=1))
 
     chunks15 = []
     rule_err = 0.0
     y0 = y_start
     converged = False
     for _round in range(8):
-        b15 = block_values(y0, quadrature._G15_X, quadrature._G15_W, 15)
-        b7 = block_values(y0, quadrature._G7_X, quadrature._G7_W, 7)
+        b15, b7 = block_values(y0)
         rule_err += float(np.abs(b15 - b7).sum())
         chunks15.append(b15)
         y0 += math.pi * n_blocks
@@ -131,7 +132,7 @@ def _counted(f):
     return g, seen
 
 
-PROBE_POINTS = 64 * (15 + 7)    # a 64-block probe, both Gauss rules
+PROBE_POINTS = 64 * 15    # a 64-block probe on the 15 Kronrod nodes
 
 
 class TestTailProbe:
@@ -188,6 +189,50 @@ class TestTailProbe:
         assert seen[0] > PROBE_POINTS
         assert got == _all_blocks_tail(self.UNSETTLED[name], 1.0,
                                        self.Y_START, tol, +1)
+
+
+class TestKronrodRule:
+    def test_k15_degree_is_23(self):
+        x, w = quadrature._K15_X, quadrature._K15_W
+        for d in range(24):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(float(w @ x ** d) - exact) <= 1e-15, d
+        assert abs(float(w @ x ** 24) - 2.0 / 25.0) > 1e-10
+
+    def test_embedded_g7_is_gauss_legendre(self):
+        gx, gw = np.polynomial.legendre.leggauss(7)
+        assert np.abs(quadrature._K15_X[1::2] - gx).max() <= 1e-15
+        assert np.abs(quadrature._K15_G7_W - gw).max() <= 1e-15
+
+
+class TestEvenFolding:
+    EVEN = TestTailProbe.ALGEBRAIC    # all three are even
+
+    @pytest.mark.parametrize("name", sorted(EVEN))
+    def test_fold_matches_both_tails_with_one_tail_fewer(self, name):
+        xc = math.sqrt(32.0 * math.pi)    # core edge at osc_scale 1
+        seen = {}
+        got = {}
+        for even in (False, True):
+            points = []
+
+            def f(x, _points=points):
+                _points.append(np.array(x))
+                return self.EVEN[name](x)
+
+            got[even] = integrate_1d(f, Domain.full_line(osc_scale=1.0,
+                                                         even=even))
+            seen[even] = np.concatenate(points)
+        assert got[True] == got[False]     # value and err, bit for bit
+        left = np.count_nonzero(seen[False] < -xc)
+        assert left > 0 and len(seen[False]) - len(seen[True]) == left
+        assert not np.any(seen[True] < -xc)
+
+    @pytest.mark.parametrize("kind, a, b", (("half_line", 0.0, math.inf),
+                                            ("finite", 0.0, 1.0)))
+    def test_only_a_full_line_is_even(self, kind, a, b):
+        with pytest.raises(ValueError):
+            Domain(kind, a, b, osc_scale=1.0, even=True)
 
 
 class TestErrorHonesty:
