@@ -18,7 +18,7 @@ Marginals require a genuine convolution, m(xi2) = norm * sqrt(2) *
 integral g(w) k(w - sqrt(2) xi2) dw, and sit inside entropy integrands, so
 they are tabulated once on a uniform grid by FFT convolution (sampled finely
 enough that the Gaussian spectrum kills aliasing from the oscillatory
-kernel) and interpolated with a cubic spline.
+kernel) and interpolated with a uniform-grid not-a-knot cubic spline.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.interpolate import CubicSpline
 
 from .quadrature import Domain, QuadTolerance, integrate_1d
 from .specfun import shape_constants, sinc, sint
@@ -248,10 +246,68 @@ def eval_density(spec, *point):
     return float(out) if out.ndim == 0 else out
 
 
+def _next_fast_len(n):
+    """The smallest 2^a 3^b 5^c >= n, a fast length for a real FFT."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_valid(a, b):
     """The "valid" part of the linear convolution of ``a`` with a shorter ``b``."""
-    n = next_fast_len(len(a) + len(b) - 1, True)
-    return irfft(rfft(a, n) * rfft(b, n), n)[len(b) - 1:len(a)]
+    n = _next_fast_len(len(a) + len(b) - 1)
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[len(b) - 1:len(a)]
+
+
+# r = sqrt(3) - 2 is the root inside the unit circle of r^2 + 4r + 1, so
+# r^|k| / sqrt(12) inverts the (1, 4, 1) Toeplitz operator on the integers;
+# past |k| = 28 its terms fall below 1e-16 of the centre.
+_SPLINE_R = math.sqrt(3.0) - 2.0
+_SPLINE_INVERSE = _SPLINE_R ** np.abs(np.arange(-28.0, 29.0)) / math.sqrt(12.0)
+
+
+class _UniformSpline:
+    """Not-a-knot cubic spline through (z, y) on a uniform grid of N >= 4
+    nodes; the same interpolant as ``CubicSpline(z, y)``, to roundoff.
+
+    The slopes s solve s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h
+    between the not-a-knot end rows.  Convolving the right-hand side with
+    the operator's inverse satisfies the interior rows; the two decaying
+    modes r^i and r^(N-1-i) then fit the end rows by a 2x2 solve.  Lookups
+    inside [z[0], z[-1]] find their interval by index arithmetic.
+    """
+
+    def __init__(self, z, y):
+        n = len(y)
+        h = (z[-1] - z[0]) / (n - 1)
+        m = np.diff(y) / h
+        # The right-hand side starts at node 1 and the inverse at k = -28.
+        s = np.convolve(3.0 * (m[:-1] + m[1:]), _SPLINE_INVERSE)[27:n + 27]
+        r, k = _SPLINE_R, min(n, 64)   # |r|^64 < 1e-36: the modes' reach
+        mode = r ** np.arange(k)
+        far = r ** (n - 1) + 2.0 * r ** (n - 2)   # the other mode's share of an end row
+        near = 1.0 + 2.0 * r
+        b0 = 0.5 * (5.0 * m[0] + m[1]) - (s[0] + 2.0 * s[1])
+        b1 = 0.5 * (m[-2] + 5.0 * m[-1]) - (2.0 * s[-2] + s[-1])
+        det = near * near - far * far
+        s[:k] += (b0 * near - b1 * far) / det * mode
+        s[n - k:] += (b1 * near - b0 * far) / det * mode[::-1]
+        t = (s[:-1] + s[1:] - 2.0 * m) / h
+        self._z, self._inv_h = z, 1.0 / h
+        self._coef = (y[:-1], s[:-1], (m - s[:-1]) / h - t, t / h)
+
+    def __call__(self, x):
+        z = self._z
+        i = np.clip(((x - z[0]) * self._inv_h).astype(np.intp), 0, len(z) - 2)
+        t = x - z[i]
+        c0, c1, c2, c3 = (c[i] for c in self._coef)
+        return c0 + t * (c1 + t * (c2 + t * c3))
 
 
 class _MarginalTable:
@@ -259,13 +315,15 @@ class _MarginalTable:
 
     The marginal is m(xi2) = norm*sqrt(2)*C(sqrt(2)*xi2) with
     C(z) = integral g(w) k(w - z) dw.  C is tabulated on a symmetric uniform
-    z-grid; the step resolves the Gaussian, the kernel core, and the output
-    ripple.  Two asymptotic devices keep the table bounded.  The kernel's
-    deep oscillatory tail (phase beyond ~300 rad) is replaced by its local
-    average c_env / (osc * v^2)^2 before convolving, exact to O(1/phase^2).
-    Lookups past the table's reach (never short of ``z_cap``) fall back to
-    that average at z, Zg * c_env / (osc * z^2)^2, which leaves out the
-    Gaussian smoothing: the convolution is larger by the factor
+    z-grid and read through a not-a-knot cubic spline on that grid
+    (``_UniformSpline``); the step resolves the Gaussian, the kernel core,
+    and the output ripple.  Two asymptotic devices keep the table bounded.
+    The kernel's deep oscillatory tail (phase beyond ~300 rad) is replaced
+    by its local average c_env / (osc * v^2)^2 before convolving, exact to
+    O(1/phase^2).  Lookups past the table's reach (never short of
+    ``z_cap``) fall back to that average at z, Zg * c_env / (osc * z^2)^2,
+    which leaves out the Gaussian smoothing: the convolution is larger by
+    the factor
     1 + 10 s^2/z^2 + 105 s^4/z^4 + ..., s^2 = g_width^2/2, so the fallback
     sits about 2% below the spline at the table edge.  The regions they
     serve carry ~1e-4 of the probability mass.  The table
@@ -314,7 +372,7 @@ class _MarginalTable:
         kv = self._k_eff(vk)
         conv = _convolve_valid(kv, gv) * h   # length 2n+1, z = j*h
         z = h * np.arange(-n, n + 1)
-        self._spline = CubicSpline(z, conv, extrapolate=False)
+        self._spline = _UniformSpline(z, conv)
         self._zmax = n * h
 
     def ensure(self, zmax):
@@ -332,7 +390,7 @@ class _MarginalTable:
         inside = az <= self._zmax
         out = np.where(inside, self._spline(np.where(inside, z, 0.0)),
                        self.joint.z_plus * self._k_avg(np.where(inside, 1.0, z)))
-        return np.clip(np.nan_to_num(out, nan=0.0), 0.0, None)
+        return np.clip(out, 0.0, None)
 
 
 def marginal_of(spec2d, tol=None):

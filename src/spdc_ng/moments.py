@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import Params, conditional_of, make_density
 from .quadrature import QuadTolerance, integrate_1d
-from .specfun import shape_constants
+from .specfun import _brentq, shape_constants
 
 __all__ = [
     "Cov2",
@@ -260,5 +259,5 @@ def find_epr_crossings(tol=None):
     def f(p):
         return epr_product(Params(p=p), tol).product - 0.25
 
-    return tuple(brentq(f, lo, hi, xtol=1e-8)
+    return tuple(_brentq(f, lo, hi, xtol=1e-8)
                  for lo, hi in ((0.1, 1.0), (1.0, 5.0)))

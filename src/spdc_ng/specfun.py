@@ -15,7 +15,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import sici
 
 from .quadrature import Domain, QuadTolerance, integrate_1d
@@ -77,8 +76,67 @@ def matching_alpha(level):
         raise ValueError("level must lie strictly between 0 and 1")
     # sinc decreases from 1 at 0 to its first minimum (< 0) near 4.493, so
     # the first crossing of any level in (0, 1) lies in between.
-    u_star = brentq(lambda u: math.sin(u) / u - level, 1e-12, 4.49340945790906, xtol=1e-14)
+    u_star = _brentq(lambda u: math.sin(u) / u - level, 1e-12, 4.49340945790906, xtol=1e-14)
     return -math.log(level) / u_star
+
+
+def _brentq(f, a, b, xtol):
+    """A root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A line-by-line port of ``scipy.optimize.brentq`` (Zeros/brentq.c) at its
+    default rtol = 4 eps and maxiter = 100: the same steps, the same
+    stopping rule |step| < (xtol + rtol*|x|)/2, and so the same bits.
+    Raises ValueError when f(a) and f(b) share a sign.
+    """
+    rtol, maxiter = 4.0 * np.finfo(float).eps, 100
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+           math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} "
+                       f"iterations, value is {xcur!r}")
 
 
 def _xlogx(p):

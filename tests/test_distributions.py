@@ -10,8 +10,10 @@ import pytest
 
 import spdc_ng
 from spdc_ng import quadrature, specfun
+from spdc_ng import distributions
 from spdc_ng.distributions import (DegenerateSliceError, Params, Physical,
                                    _convolve_valid, _MarginalTable,
+                                   _next_fast_len, _UniformSpline,
                                    conditional_of, eval_density,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
@@ -275,14 +277,63 @@ class TestMarginalConvolution:
         assert sum(map(len, seen)) == np.count_nonzero(np.abs(v) <= v_c)
         assert np.array_equal(out.view(np.int64), former.view(np.int64))
 
-    def test_import_does_not_load_scipy_signal(self):
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+        ns = range(1, 20001)
+        assert [_next_fast_len(n) for n in ns] == [next_fast_len(n, True)
+                                                   for n in ns]
+
+    @pytest.mark.parametrize("n", (4, 5, 9, 41, 1_000_001))
+    def test_spline_matches_cubic_spline_on_random_data(self, n):
+        # A dyadic step makes every node and spacing exact, so CubicSpline
+        # sees the same uniform grid.  On a general step its spacings differ
+        # by ulps of |z|, which noise data amplify to ~1e-10 at 1e6 nodes.
+        rng = np.random.default_rng(n)
+        z = 0.125 * np.arange(-(n // 2), n - n // 2)
+        _assert_spline_parity(z, rng.standard_normal(n))
+
+    @pytest.mark.parametrize("plane, p", [(plane, p) for plane in
+                                          ("far_field", "near_field")
+                                          for p in (0.0034, 1.0, 99.0)])
+    def test_spline_matches_cubic_spline_on_tables(self, monkeypatch, plane,
+                                                   p):
+        built = []
+
+        class Recorded(_UniformSpline):
+            def __init__(self, z, y):
+                super().__init__(z, y)
+                built.append((z, y))
+
+        monkeypatch.setattr(distributions, "_UniformSpline", Recorded)
+        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        negentropy(marginal_of(j, TOL), TOL)
+        assert len(built) >= 2
+        for z, y in built:
+            _assert_spline_parity(z, y)
+
+    def test_import_loads_only_scipy_special(self):
         src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
         res = subprocess.run(
             [sys.executable, "-c",
-             "import sys, spdc_ng; print('scipy.signal' in sys.modules)"],
+             "import sys, spdc_ng; print(*{m.split('.')[1] for m in "
+             "sys.modules if m.startswith('scipy.')})"],
             capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src})
-        assert res.stdout.strip() == "False"
+        private = {"_lib", "_cyutility", "__config__", "_distributor_init",
+                   "version"}
+        assert set(res.stdout.split()) - private == {"special"}
+
+
+def _assert_spline_parity(z, y):
+    """The uniform spline equals CubicSpline(z, y) to 1e-12 of max|y| at
+    the nodes, the interval midpoints and across both end intervals."""
+    from scipy.interpolate import CubicSpline
+    ours, ref = _UniformSpline(z, y), CubicSpline(z, y)
+    h = z[1] - z[0]
+    edge = h * np.linspace(0.0, 1.0, 9)
+    scale = np.abs(y).max()
+    for x in (z, 0.5 * (z[:-1] + z[1:]), z[0] + edge, z[-1] - edge):
+        assert np.abs(ours(x) - ref(x)).max() <= 1e-12 * scale
 
 
 class TestGaussianModel:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from spdc_ng import moments
 from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
-from spdc_ng.specfun import (matching_alpha, shape_constants, sinc,
+from spdc_ng.specfun import (_brentq, matching_alpha, shape_constants, sinc,
                              sine_integral, sint)
 
 
@@ -82,7 +83,6 @@ class TestSint:
 
 class TestMatchingAlpha:
     def test_defining_property(self):
-        from scipy.optimize import brentq
         for level in (1.0 / math.e, 1.0 / math.e ** 2, 0.5):
             a = matching_alpha(level)
             u_star = -math.log(level) / a
@@ -96,6 +96,57 @@ class TestMatchingAlpha:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 matching_alpha(bad)
+
+
+def _brackets(seed=11):
+    """(f, a, b, xtol) for seeded sinc levels, cubics and exp(-x) - c x^2,
+    each with a sign change over [a, b]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(60):
+        level = rng.uniform(0.01, 0.99)
+        xtol = (1e-14, 1e-8, 2e-12)[len(out) % 3]
+        out.append((lambda u, lv=level: math.sin(u) / u - lv,
+                    1e-12, 4.49340945790906, xtol))
+        r = rng.uniform(-2.0, 2.0, 3)
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, 2))
+        cubic = lambda x, r=r: (x - r[0]) * (x - r[1]) * (x - r[2])
+        if np.sign(cubic(lo)) != np.sign(cubic(hi)):
+            out.append((cubic, lo, hi, 1e-12))
+        c = rng.uniform(0.5, 3.0)
+        out.append((lambda x, c=c: math.exp(-x) - c * x * x, 0.0, 5.0, 1e-13))
+    return out
+
+
+class TestBrentq:
+    """The private Brent solver against scipy.optimize.brentq, bit for bit."""
+
+    def test_matches_scipy_bitwise(self):
+        from scipy.optimize import brentq
+        cases = _brackets() + [(lambda x: x - 1.0, 1.0, 3.0, 1e-12),
+                               (lambda x: x - 3.0, 1.0, 3.0, 1e-12)]
+        assert len(cases) > 150
+        for f, a, b, xtol in cases:
+            assert _brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_root_at_endpoint(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+        assert _brentq(lambda x: x * x - 9.0, 1.0, 3.0, 1e-12) == 3.0
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_matching_alpha_values(self):
+        assert matching_alpha(1.0 / math.e) == 0.4547267104391005
+        assert matching_alpha(1.0 / math.e ** 2) == 0.7249159276364936
+
+    def test_epr_crossings_match_scipy(self, monkeypatch):
+        from scipy.optimize import brentq
+        ours = moments.find_epr_crossings()
+        monkeypatch.setattr(moments, "_brentq",
+                            lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
+        assert ours == moments.find_epr_crossings()
 
 
 class TestShapeConstants:
