@@ -12,9 +12,9 @@ import numpy as np
 from spdc_ng import Params, conditional_of, make_density
 
 params = Params(p=2.0)
-spdc = conditional_of(make_density("far_field", "spdc", "joint", params), 0.0)
+spdc = conditional_of(make_density("far_field", "spdc", params), 0.0)
 models = {a: conditional_of(
-    make_density("far_field", "gaussian", "joint", params, alpha=a), 0.0)
+    make_density("far_field", "gaussian", params, alpha=a), 0.0)
     for a in (0.45, 0.72)}
 
 xs = np.linspace(-2.5, 2.5, 41)

@@ -57,12 +57,8 @@ def _alpha_tag(alpha):
     return f"gauss_a{alpha:g}"
 
 
-def _joint(plane, params, tol):
-    return make_density(plane, "spdc", "joint", params, tol)
-
-
 def _negentropy_cell(plane, form, params, tol):
-    j = _joint(plane, params, tol)
+    j = make_density(plane, "spdc", params, tol)
     spec = conditional_of(j, 0.0, tol) if form == "cond" else marginal_of(j, tol)
     n = negentropy(spec, tol)
     return n.value, n.err_estimate
@@ -104,8 +100,8 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
     elif quantity == "delta_b":
         out += [delta_b(params, tol), 0.0]
     elif quantity == "ng_total":
-        nf = negentropy(_joint("far_field", params, tol), tol)
-        nn = negentropy(_joint("near_field", params, tol), tol)
+        nf = negentropy(make_density("far_field", "spdc", params, tol), tol)
+        nn = negentropy(make_density("near_field", "spdc", params, tol), tol)
         out += [nf.value + nn.value, nf.err_estimate + nn.err_estimate]
     elif quantity == "ng_cond":
         vf, ef = _negentropy_cell("far_field", "cond", params, tol)
@@ -263,14 +259,14 @@ FIGURE_IDS = tuple(_FIG_SECTIONS) + tuple(_FIG_SWEEPS) + tuple(_FIG_PAIRS)
 def _figure_section(plane, p, sigma, alphas, tol, out_path):
     """Origin-conditional cross-section: spdc curve plus Gaussian overlays."""
     params = Params(p=p, sigma=sigma)
-    spdc = conditional_of(_joint(plane, params, tol), 0.0, tol)
+    spdc = conditional_of(make_density(plane, "spdc", params, tol), 0.0, tol)
     _, var = moments_1d(spdc, tol)
     xs = np.linspace(-5.0 * math.sqrt(var), 5.0 * math.sqrt(var), 201)
     curves = [np.array([spdc(x) for x in xs])]
     cols = ["coord", "spdc"]
     for a in alphas:
-        g = conditional_of(make_density(plane, "gaussian", "joint", params,
-                                        tol, alpha=a), 0.0, tol)
+        g = conditional_of(make_density(plane, "gaussian", params, tol,
+                                        alpha=a), 0.0, tol)
         curves.append(np.array([g(x) for x in xs]))
         cols.append(_alpha_tag(a))
     lines = [_HEADER, ",".join(cols)]

@@ -14,6 +14,10 @@ exp(-(xi1+xi2)^2/2) * sinc^2(P^2 (xi1-xi2)^2/4) and so on.  The rotation is
 orthogonal (unit Jacobian), so normalization and moments reduce to products
 of 1-D integrals over u and v.
 
+A ``Joint`` holds one such product; its marginals and conditionals are
+``Density1D`` objects built from it by ``marginal_of`` and
+``conditional_of``.  Both types are frozen.
+
 Marginals require a genuine convolution, m(xi2) = norm * sqrt(2) *
 integral g(w) k(w - sqrt(2) xi2) dw, and sit inside entropy integrands, so
 they are tabulated once on a uniform grid by FFT convolution (sampled finely
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,9 +41,9 @@ from .specfun import shape_constants, sinc, sint
 __all__ = [
     "Physical",
     "Params",
-    "DensitySpec",
+    "Joint",
+    "Density1D",
     "make_density",
-    "eval_density",
     "marginal_of",
     "conditional_of",
     "gaussian_equivalent",
@@ -46,7 +52,6 @@ __all__ = [
 
 PLANES = ("far_field", "near_field")
 MODELS = ("spdc", "gaussian")
-FORMS = ("joint", "marginal", "conditional_at")
 
 
 class DegenerateSliceError(ValueError):
@@ -98,24 +103,97 @@ class Params:
         return cls(p=p, sigma=sigma, physical=phys)
 
 
-def _factors(plane, model, params, alpha, tol):
-    """Sum/difference factor callables, domains, feature widths and
-    full-line integrals.
+@dataclass(frozen=True)
+class Joint:
+    """A normalized joint density norm * g(u) * kernel(v) on one plane.
 
-    Returns (g, k, dom_g, dom_k, k_width, g_width, zg, zk) where k_width is
-    the central feature width of k, g_width the 1/e width of g, and zg, zk
-    the integrals of g and k.  As k(v) = shape(c v^2), zk is b1/sqrt(c)
-    (sinc), a1/sqrt(c) (sint) or sqrt(pi/c) (Gaussian); zg is sqrt(pi)
-    g_width.
+    ``kernel`` is the difference factor k(v) = shape(c v^2), integrated over
+    ``kernel_domain``; ``k_width`` is its central feature width and ``zk``
+    its full-line integral: b1/sqrt(c) (sinc), a1/sqrt(c) (sint) or
+    sqrt(pi/c) (Gaussian).  The Gaussian sum factor g, its integral zg and
+    the normalization follow from ``g_width``, the 1/e width of g.
     """
+
+    form: ClassVar[str] = "joint"
+
+    plane: str
+    model: str
+    params: Params
+    alpha: float | None
+    tol: QuadTolerance
+    kernel: Callable
+    kernel_domain: Domain
+    g_width: float
+    k_width: float
+    zk: float
+
+    def g(self, u):
+        """The sum factor exp(-(u / g_width)^2), on the full line."""
+        return np.exp(-(np.asarray(u, float) / self.g_width) ** 2)
+
+    @property
+    def zg(self):
+        return math.sqrt(math.pi) * self.g_width
+
+    @property
+    def norm(self):
+        return 1.0 / (self.zg * self.zk)
+
+    def __call__(self, x1, x2):
+        x1 = np.asarray(x1, float)
+        x2 = np.asarray(x2, float)
+        u = (x1 + x2) / math.sqrt(2.0)
+        v = (x1 - x2) / math.sqrt(2.0)
+        out = np.asarray(self.norm * self.g(u) * self.kernel(v), float)
+        return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class Density1D:
+    """A normalized 1-D density: a marginal or a conditional of ``parent``.
+
+    ``domain`` suits integrals over ``pdf``: it carries the oscillation
+    hint, the smooth-bulk reach beyond which the tail is pure kernel, and
+    whether pdf(-x) == pdf(x).  ``seeds`` are known feature locations in the
+    core; ``fixed`` is a conditional's conditioning value.
+    """
+
+    form: str
+    pdf: Callable
+    domain: Domain
+    seeds: tuple = ()
+    parent: Joint | None = None
+    fixed: float | None = None
+
+    def __post_init__(self):
+        if self.form not in ("marginal", "conditional_at"):
+            raise ValueError(f"unknown 1-D form {self.form!r}")
+
+    @property
+    def tol(self):
+        """The parent's tolerance, the default for integrals over pdf."""
+        return self.parent.tol if self.parent is not None else QuadTolerance()
+
+    def __call__(self, x):
+        out = np.asarray(self.pdf(np.asarray(x, float)), float)
+        return float(out) if out.ndim == 0 else out
+
+
+def make_density(plane, model, params, tol=None, *, alpha=None):
+    """The normalized joint density of ``model`` on ``plane``; its
+    normalization is closed-form, so nothing is integrated."""
+    if plane not in PLANES:
+        raise ValueError(f"unknown plane {plane!r}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if model == "gaussian":
+        if alpha is None or not (alpha > 0):
+            raise ValueError("gaussian model requires alpha > 0")
+    elif alpha is not None:
+        raise ValueError("alpha applies to the gaussian model only")
+    tol = tol or QuadTolerance()
     p = params.p
     g_width = 1.0 if plane == "far_field" else params.sigma
-
-    def g(u):
-        return np.exp(-(np.asarray(u, float) / g_width) ** 2)
-
-    dom_g = Domain.full_line()
-    zg = math.sqrt(math.pi) * g_width
 
     if model == "spdc":
         sc = shape_constants(tol)
@@ -126,10 +204,10 @@ def _factors(plane, model, params, alpha, tol):
             c, shape, z_shape = 1.0 / (2.0 * p * p), sint, sc.a1
             k_width = math.sqrt(2.0) * p
 
-        def k(v):
+        def kernel(v):
             return shape(c * np.asarray(v, float) ** 2) ** 2
 
-        dom_k = Domain.full_line(osc_scale=c, even=True)
+        domain = Domain.full_line(osc_scale=c, even=True)
         zk = z_shape / math.sqrt(c)
     else:
         a = float(alpha)
@@ -138,112 +216,15 @@ def _factors(plane, model, params, alpha, tol):
         else:
             c = 1.0 / (a * p * p)
 
-        def k(v):
+        def kernel(v):
             return np.exp(-c * np.asarray(v, float) ** 2)
 
         k_width = 1.0 / math.sqrt(c)
-        dom_k = Domain.full_line()
+        domain = Domain.full_line()
         zk = math.sqrt(math.pi / c)
 
-    return g, k, dom_g, dom_k, k_width, g_width, zg, zk
-
-
-class DensitySpec:
-    """A fully-specified 1-D or 2-D probability density.
-
-    Treat instances as immutable after construction; the marginal table is
-    the only internal cache and refines itself under a lock.
-    """
-
-    def __init__(self, plane, model, form, params, norm, *, alpha=None,
-                 fixed=None, tol=None, pdf1=None, osc_scale=None, seeds=(),
-                 core_extent=0.0, even=False, factor_plus=None, factor_minus=None,
-                 dom_plus=None, dom_minus=None, z_plus=None, z_minus=None,
-                 k_width=None, g_width=None, parent=None):
-        self.plane = plane
-        self.model = model
-        self.form = form
-        self.params = params
-        self.norm = norm
-        self.alpha = alpha
-        self.fixed = fixed
-        self.tol = tol or QuadTolerance()
-        self.ndim = 2 if form == "joint" else 1
-        # Rotated-coordinate factors (joint forms only).
-        self.factor_plus = factor_plus
-        self.factor_minus = factor_minus
-        self.dom_plus = dom_plus
-        self.dom_minus = dom_minus
-        self.z_plus = z_plus         # factor normalizations
-        self.z_minus = z_minus
-        self.k_width = k_width       # feature widths, see _factors
-        self.g_width = g_width
-        # 1-D evaluation path (marginal/conditional forms only).
-        self.pdf1 = pdf1
-        self.osc_scale = osc_scale   # oscillation hint for integrals over the pdf
-        self.seeds = tuple(seeds)    # known feature locations for the core region
-        self.core_extent = core_extent  # smooth-bulk reach, beyond which the tail is pure kernel
-        self.even = even             # pdf1(-x) == pdf1(x), declared to the domain
-        self.parent = parent         # originating joint, for 1-D forms
-
-    def domain(self):
-        """Integration domain suited to integrals of this density."""
-        if self.ndim != 1:
-            raise ValueError("domain() applies to 1-D forms; joints factorize")
-        return Domain.full_line(osc_scale=self.osc_scale,
-                                core_extent=self.core_extent, even=self.even)
-
-    def __call__(self, *point):
-        return eval_density(self, *point)
-
-
-def make_density(plane, model, form, params, tol=None, *, alpha=None, fixed=0.0):
-    """Construct a normalized density.  A joint takes its normalization
-    from the closed forms of ``_factors``; a conditional integrates its own."""
-    if plane not in PLANES:
-        raise ValueError(f"unknown plane {plane!r}")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
-    if model == "gaussian":
-        if alpha is None or not (alpha > 0):
-            raise ValueError("gaussian model requires alpha > 0")
-    elif alpha is not None:
-        raise ValueError("alpha applies to the gaussian model only")
-    tol = tol or QuadTolerance()
-
-    g, k, dom_g, dom_k, k_width, g_width, zg, zk = _factors(
-        plane, model, params, alpha, tol)
-    spec = DensitySpec(plane, model, "joint", params, 1.0 / (zg * zk),
-                       alpha=alpha, tol=tol, factor_plus=g, factor_minus=k,
-                       dom_plus=dom_g, dom_minus=dom_k, z_plus=zg, z_minus=zk,
-                       k_width=k_width, g_width=g_width)
-
-    if form == "joint":
-        return spec
-    if form == "marginal":
-        return marginal_of(spec, tol)
-    return conditional_of(spec, fixed, tol)
-
-
-def eval_density(spec, *point):
-    """Evaluate the density at a point (two coordinates for joints, one else)."""
-    if len(point) == 1 and isinstance(point[0], (tuple, list)):
-        point = tuple(point[0])
-    if len(point) != spec.ndim:
-        raise TypeError(f"{spec.form} density takes {spec.ndim} coordinate(s), "
-                        f"got {len(point)}")
-    if spec.ndim == 2:
-        x1 = np.asarray(point[0], float)
-        x2 = np.asarray(point[1], float)
-        u = (x1 + x2) / math.sqrt(2.0)
-        v = (x1 - x2) / math.sqrt(2.0)
-        out = spec.norm * spec.factor_plus(u) * spec.factor_minus(v)
-    else:
-        out = spec.pdf1(np.asarray(point[0], float))
-    out = np.asarray(out, float)
-    return float(out) if out.ndim == 0 else out
+    return Joint(plane, model, params, alpha, tol, kernel, domain, g_width,
+                 k_width, zk)
 
 
 def _next_fast_len(n):
@@ -343,7 +324,7 @@ class _MarginalTable:
         # Averaged squared-kernel envelope: sin^2 -> 1/2 for the sinc shape,
         # (2/pi) cos -> 2/pi^2 for the sint shape, each over phase^2.
         self.c_env = 0.5 if joint.plane == "far_field" else 2.0 / math.pi ** 2
-        self.osc = joint.dom_minus.osc_scale
+        self.osc = joint.kernel_domain.osc_scale
 
     def _k_avg(self, v):
         y = self.osc * np.square(v)
@@ -353,7 +334,7 @@ class _MarginalTable:
         v_c = math.sqrt(self._PHASE_SMOOTH / self.osc)
         near = np.abs(v) <= v_c
         out = np.empty_like(v)
-        out[near] = self.joint.factor_minus(v[near])
+        out[near] = self.joint.kernel(v[near])
         out[~near] = self._k_avg(v[~near])
         return out
 
@@ -367,7 +348,7 @@ class _MarginalTable:
         m = int(math.ceil(wg / h))
         n = int(math.ceil(zmax / h)) + 2
         w = h * np.arange(-m, m + 1)
-        gv = j.factor_plus(w)
+        gv = j.g(w)
         vk = h * np.arange(-(m + n), m + n + 1)
         kv = self._k_eff(vk)
         conv = _convolve_valid(kv, gv) * h   # length 2n+1, z = j*h
@@ -389,76 +370,74 @@ class _MarginalTable:
         az = np.abs(z)
         inside = az <= self._zmax
         out = np.where(inside, self._spline(np.where(inside, z, 0.0)),
-                       self.joint.z_plus * self._k_avg(np.where(inside, 1.0, z)))
+                       self.joint.zg * self._k_avg(np.where(inside, 1.0, z)))
         return np.clip(out, 0.0, None)
 
 
-def marginal_of(spec2d, tol=None):
+def marginal_of(joint, tol=None):
     """The 1-D marginal p(xi2) of a joint density, tabulated and cached."""
-    if spec2d.form != "joint":
+    if not isinstance(joint, Joint):
         raise ValueError("marginal_of expects a joint density")
-    tol = tol or spec2d.tol
-    j = spec2d
+    tol = tol or joint.tol
     rt2 = math.sqrt(2.0)
 
-    if j.model == "gaussian":
+    if joint.model == "gaussian":
         # Gaussian marginals of a Gaussian joint are exactly normal; the
         # convolution table would be pointless (and the algebraic-map
         # integration path probes coordinates far beyond any finite table).
-        var_u = 0.5 * j.g_width ** 2
-        var_v = 0.5 * j.k_width ** 2
+        var_u = 0.5 * joint.g_width ** 2
+        var_v = 0.5 * joint.k_width ** 2
         var = 0.5 * (var_u + var_v)
 
         def pdf(x):
             x = np.asarray(x, float)
             return np.exp(-x * x / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
-        return DensitySpec(j.plane, j.model, "marginal", j.params, 1.0,
-                           alpha=j.alpha, tol=tol, pdf1=pdf, osc_scale=None,
-                           seeds=(0.0,), parent=j)
+        return Density1D("marginal", pdf, Domain.full_line(), (0.0,),
+                         parent=joint)
 
-    osc = j.dom_minus.osc_scale * 2.0   # tail m ~ k(sqrt(2) xi2)
+    osc = joint.kernel_domain.osc_scale * 2.0   # tail m ~ k(sqrt(2) xi2)
     sc = shape_constants(tol)
-    if j.plane == "far_field":
-        var_v = 1.5 / j.params.p ** 2
+    if joint.plane == "far_field":
+        var_v = 1.5 / joint.params.p ** 2
     else:
-        var_v = 2.0 * j.params.p ** 2 * sc.a2 / sc.a1
-    var = 0.5 * (0.5 * j.g_width ** 2 + var_v)
+        var_v = 2.0 * joint.params.p ** 2 * sc.a2 / sc.a1
+    var = 0.5 * (0.5 * joint.g_width ** 2 + var_v)
     extent = 11.0 * math.sqrt(var)
     z_cap = math.sqrt(2.0) * 2.0 * max(extent, math.sqrt(32.0 * math.pi / osc))
-    table = _MarginalTable(j, z_cap)
+    table = _MarginalTable(joint, z_cap)
 
     def pdf(x):
-        return j.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
-
-    out = DensitySpec(j.plane, j.model, "marginal", j.params, 1.0,
-                      alpha=j.alpha, tol=tol, pdf1=pdf, osc_scale=osc,
-                      seeds=(0.0,), core_extent=extent, even=True, parent=j)
+        return joint.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
 
     # Cross-check the table against direct quadrature at a few points; a
     # mis-aligned convolution grid would corrupt every downstream entropy.
-    for x2 in (0.0, 0.7 * j.g_width):
-        bulk = -x2 + j.g_width * math.sqrt(2.0) * np.linspace(-10.0, 10.0, 21)
+    gw = joint.g_width
+    for x2 in (0.0, 0.7 * gw):
+        bulk = -x2 + gw * math.sqrt(2.0) * np.linspace(-10.0, 10.0, 21)
         direct, derr = integrate_1d(
-            lambda x1, _x2=x2: eval_density(j, x1, np.full_like(np.asarray(x1, float), _x2)),
-            Domain.full_line(osc_scale=j.dom_minus.osc_scale / 2.0,
+            lambda x1, x2=x2: joint(x1, x2),
+            Domain.full_line(osc_scale=joint.kernel_domain.osc_scale / 2.0,
                              even=x2 == 0.0),
             tol.scaled(100.0), seed_points=tuple(np.append(bulk, x2)))
         tab = float(pdf(x2))
         if abs(tab - direct) > 1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
             raise RuntimeError("marginal table disagrees with direct quadrature")
-    return out
+    return Density1D("marginal", pdf,
+                     Domain.full_line(osc_scale=osc, core_extent=extent,
+                                      even=True),
+                     (0.0,), parent=joint)
 
 
-def conditional_of(spec2d, fixed_value=0.0, tol=None):
+def conditional_of(joint, fixed_value=0.0, tol=None):
     """The normalized slice p(xi1 | xi2 = fixed_value) of a joint density."""
-    if spec2d.form != "joint":
+    if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")
-    tol = tol or spec2d.tol
-    j = spec2d
+    tol = tol or joint.tol
     c = float(fixed_value)
-    if j.model == "spdc":
-        osc = j.dom_minus.osc_scale / 2.0   # kernel phase (P^2/4)(xi1 - c)^2 etc.
+    if joint.model == "spdc":
+        # The kernel phase, (P^2/4)(xi1 - c)^2 in the far field.
+        osc = joint.kernel_domain.osc_scale / 2.0
     else:
         osc = None
 
@@ -466,15 +445,15 @@ def conditional_of(spec2d, fixed_value=0.0, tol=None):
         x1 = np.asarray(x1, float)
         u = (x1 + c) / math.sqrt(2.0)
         v = (x1 - c) / math.sqrt(2.0)
-        return j.factor_plus(u) * j.factor_minus(v)
+        return joint.g(u) * joint.kernel(v)
 
     # Seed the whole Gaussian bulk: at small P the oscillatory core spans
     # thousands of units and a width-one bump between panel nodes would be
     # invisible to the adaptive pass.
-    gw = j.g_width * math.sqrt(2.0)
+    gw = joint.g_width * math.sqrt(2.0)
     seeds = tuple(np.concatenate([-c + gw * np.linspace(-10.0, 10.0, 21), [c]]))
-    even = c == 0.0   # the origin slice g(x1/sqrt(2)) k(x1/sqrt(2))
-    dom = Domain.full_line(osc_scale=osc, even=even)
+    # The origin slice g(x1/sqrt(2)) k(x1/sqrt(2)) is even.
+    dom = Domain.full_line(osc_scale=osc, even=c == 0.0)
     s, serr = integrate_1d(slice_unnorm, dom, tol, seed_points=seeds)
     if not (s > 0) or not np.isfinite(s) or s <= 10.0 * serr:
         raise DegenerateSliceError(
@@ -483,29 +462,27 @@ def conditional_of(spec2d, fixed_value=0.0, tol=None):
     def pdf(x):
         return slice_unnorm(x) / s
 
-    return DensitySpec(j.plane, j.model, "conditional_at", j.params, 1.0 / s,
-                       alpha=j.alpha, fixed=c, tol=tol, pdf1=pdf,
-                       osc_scale=osc, seeds=seeds, even=even, parent=j)
+    return Density1D("conditional_at", pdf, dom, seeds, parent=joint, fixed=c)
 
 
-def gaussian_equivalent(spec2d, tol=None):
+def gaussian_equivalent(joint, tol=None):
     """The Gaussian joint density sharing the mean vector and covariance.
 
     The sum-factor is common to both models, so matching reduces to matching
     the difference-factor variance: alpha = 1/3 in the far field (from the
     sinc-shape second-moment ratio 3/4) and alpha = 4*A2/A1 in the near
-    field, independent of P in both cases.
+    field, independent of P in both cases.  A Gaussian joint is its own
+    equivalent.
     """
-    if spec2d.ndim != 2:
+    if not isinstance(joint, Joint):
         raise ValueError("gaussian_equivalent expects a joint density")
-    tol = tol or spec2d.tol
-    if spec2d.model == "gaussian":
-        return make_density(spec2d.plane, "gaussian", "joint", spec2d.params,
-                            tol, alpha=spec2d.alpha)
+    if joint.model == "gaussian":
+        return joint
+    tol = tol or joint.tol
     sc = shape_constants(tol)
-    if spec2d.plane == "far_field":
+    if joint.plane == "far_field":
         alpha = 1.0 / 3.0
     else:
         alpha = 4.0 * sc.a2 / sc.a1
-    return make_density(spec2d.plane, "gaussian", "joint", spec2d.params,
-                        tol, alpha=alpha)
+    return make_density(joint.plane, "gaussian", joint.params, tol,
+                        alpha=alpha)

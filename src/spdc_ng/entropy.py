@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import (conditional_of, gaussian_equivalent, make_density,
-                            marginal_of)
+from .distributions import (Joint, conditional_of, gaussian_equivalent,
+                            make_density, marginal_of)
 from .moments import _factor_variances, moments_1d
 from .quadrature import QuadTolerance, integrate_1d
 from .specfun import _xlogx, shape_constants
@@ -96,18 +96,18 @@ def _shape_entropy(plane, sc):
 
 def _entropy_with_err(spec, tol):
     """Differential entropy in bits with a propagated error estimate."""
-    if spec.ndim == 2:
+    if isinstance(spec, Joint):
         h_shape, err = (_shape_entropy(spec.plane, shape_constants(tol))
                         if spec.model == "spdc" else (_H_UNIT_GAUSS, 0.0))
         return (_H_UNIT_GAUSS + math.log2(spec.g_width) + h_shape
                 + math.log2(spec.k_width), err)
-    v, err = integrate_1d(lambda x: _xlogx(spec.pdf1(x)), spec.domain(), tol,
+    v, err = integrate_1d(lambda x: _xlogx(spec.pdf(x)), spec.domain, tol,
                           seed_points=spec.seeds)
     return -v / _LN2, err / _LN2
 
 
 def differential_entropy(spec, tol=None):
-    """H = -integral p log2 p of a density spec, in bits."""
+    """H = -integral p log2 p of a joint or 1-D density, in bits."""
     tol = tol or spec.tol
     h, _ = _entropy_with_err(spec, tol)
     return h
@@ -129,7 +129,7 @@ def _negentropy(spec, tol, moment):
     """Negentropy of ``spec`` given its second moments: the factor
     variances (s2_u, s2_v) of a joint, or the variance of a 1-D form."""
     h_actual, err = _entropy_with_err(spec, tol)
-    if spec.ndim == 2:
+    if isinstance(spec, Joint):
         s2_u, s2_v = moment
         det = s2_u * s2_v   # = var^2 - cov^2 in the original coordinates
         h_gauss = math.log2(2.0 * math.pi * math.e * math.sqrt(det))
@@ -140,12 +140,13 @@ def _negentropy(spec, tol, moment):
 
 
 def negentropy(spec, tol=None):
-    """Negentropy of a density spec, with the matched Gaussian sharing the
-    spec's own mean and (co)variance.  A joint's ``err_estimate`` is the
-    log-integral shape constant's error through its closed-form entropy (0
-    for a Gaussian kernel); a 1-D form's is that of its entropy integral."""
+    """Negentropy of a joint or 1-D density, with the matched Gaussian
+    sharing the density's own mean and (co)variance.  A joint's
+    ``err_estimate`` is the log-integral shape constant's error through its
+    closed-form entropy (0 for a Gaussian kernel); a 1-D form's is that of
+    its entropy integral."""
     tol = tol or spec.tol
-    if spec.ndim == 2:
+    if isinstance(spec, Joint):
         moment = _factor_variances(spec, tol)
     else:
         _, moment = moments_1d(spec, tol)
@@ -159,7 +160,7 @@ def _plane_report(plane, params, tol):
     Each density is built once and each second moment integrated once: the
     marginal's variance is the mean of its joint's factor variances.
     """
-    joint = make_density(plane, "spdc", "joint", params, tol)
+    joint = make_density(plane, "spdc", params, tol)
     cond = conditional_of(joint, 0.0, tol)
     marg = marginal_of(joint, tol)
     s2_u, s2_v = _factor_variances(joint, tol)
@@ -224,7 +225,7 @@ def conditional_gaussian_mismatch(plane, params, tol=None):
     negentropy, the reference here is NOT moment-matched to the slice.
     """
     tol = tol or QuadTolerance()
-    joint = make_density(plane, "spdc", "joint", params, tol)
+    joint = make_density(plane, "spdc", params, tol)
     matched = gaussian_equivalent(joint, tol)
     h_g = differential_entropy(conditional_of(matched, 0.0, tol), tol)
     h_p = differential_entropy(conditional_of(joint, 0.0, tol), tol)

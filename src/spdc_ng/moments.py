@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Params, conditional_of, make_density
-from .quadrature import QuadTolerance, integrate_1d
+from .distributions import (Density1D, Joint, Params, conditional_of,
+                            make_density)
+from .quadrature import Domain, QuadTolerance, integrate_1d
 from .specfun import _brentq, shape_constants
 
 __all__ = [
@@ -101,27 +102,24 @@ def _factor_variance(f, dom, z, tol):
     return m2 / z
 
 
-def _factor_variances(spec2d, tol):
+def _factor_variances(joint, tol):
     """Variances (s2_u, s2_v) of the u and v factors of a joint.
 
     s2_u = g_width^2 / 2.  s2_v is integrated although it has a closed
     form: below P = 0.0062 the near-field quadrature lies 5e-6 relative
     above (A2/A1) 2 P^2, and perfbench/reference.json records that value.
     """
-    return (0.5 * spec2d.g_width ** 2,
-            _factor_variance(spec2d.factor_minus, spec2d.dom_minus,
-                             spec2d.z_minus, tol))
+    return (0.5 * joint.g_width ** 2,
+            _factor_variance(joint.kernel, joint.kernel_domain, joint.zk, tol))
 
 
-def covariance_numeric(spec2d, tol=None):
+def covariance_numeric(joint, tol=None):
     """Covariance matrix of a joint density by quadrature of both factors."""
-    if spec2d.form != "joint":
+    if not isinstance(joint, Joint):
         raise ValueError("covariance_numeric expects a joint density")
-    tol = tol or spec2d.tol
-    s2_u = _factor_variance(spec2d.factor_plus, spec2d.dom_plus,
-                            spec2d.z_plus, tol)
-    s2_v = _factor_variance(spec2d.factor_minus, spec2d.dom_minus,
-                            spec2d.z_minus, tol)
+    tol = tol or joint.tol
+    s2_u = _factor_variance(joint.g, Domain.full_line(), joint.zg, tol)
+    s2_v = _factor_variance(joint.kernel, joint.kernel_domain, joint.zk, tol)
     var = 0.5 * (s2_u + s2_v)
     return Cov2(var1=var, var2=var, cov=0.5 * (s2_u - s2_v))
 
@@ -144,31 +142,31 @@ def covariance_closed(plane, params, tol=None):
 
 
 def moments_1d(spec, tol=None):
-    """(mean, variance) of a 1-D density spec.
+    """(mean, variance) of a 1-D density.
 
     Marginals reuse their parent joint's factor variances (exact reduction;
     their mean is zero by symmetry); conditionals integrate their own pdf.
     An origin slice g(x/sqrt(2)) k(x/sqrt(2)) is even, so its mean is 0.
     """
-    if spec.ndim != 1:
+    if not isinstance(spec, Density1D):
         raise ValueError("moments_1d expects a 1-D form")
     tol = tol or spec.tol
     if spec.form == "marginal" and spec.parent is not None:
         s2_u, s2_v = _factor_variances(spec.parent, tol)
         return 0.0, 0.5 * (s2_u + s2_v)
-    dom = spec.domain()
+    dom = spec.domain
     m1 = 0.0
     if spec.fixed != 0.0:
-        m1, _ = integrate_1d(lambda x: x * spec.pdf1(x), dom, tol,
+        m1, _ = integrate_1d(lambda x: x * spec.pdf(x), dom, tol,
                              seed_points=spec.seeds)
-    m2, _ = integrate_1d(lambda x: x * x * spec.pdf1(x), dom, tol,
+    m2, _ = integrate_1d(lambda x: x * x * spec.pdf(x), dom, tol,
                          seed_points=spec.seeds)
     return m1, m2 - m1 * m1
 
 
 def _conditional_variance(plane, params, tol):
     """Variance of the spdc origin slice p(xi1 | xi2 = 0) on one plane."""
-    joint = make_density(plane, "spdc", "joint", params, tol)
+    joint = make_density(plane, "spdc", params, tol)
     _, var = moments_1d(conditional_of(joint, 0.0, tol), tol)
     return var
 

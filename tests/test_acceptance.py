@@ -4,6 +4,7 @@ Each test prints a single ``criterion N: PASS/FAIL`` verdict line (visible
 with ``pytest -s`` or in captured output on failure) and then asserts.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import spdc_ng
-from spdc_ng.distributions import (DensitySpec, Params, conditional_of,
-                                   eval_density, make_density, marginal_of)
+from spdc_ng.distributions import (Density1D, Params, conditional_of,
+                                   make_density, marginal_of)
 from spdc_ng.entropy import negentropy, ng_report
 from spdc_ng.gstate import (purity, symplectic_spectrum,
                             symplectic_spectrum_numeric, two_mode_cov,
@@ -24,7 +25,7 @@ from spdc_ng.moments import (covariance_closed, covariance_numeric,
                              find_epr_crossings, gaussian_epr_product,
                              mancini_boundary, mancini_product,
                              schmidt_number)
-from spdc_ng.quadrature import QuadTolerance, integrate_1d
+from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import shape_constants
 
 TOL = QuadTolerance()
@@ -59,10 +60,10 @@ def test_criterion_2_joint_negentropies():
     grid = (0.05, 0.3, 1.0, 2.0)
     checks, totals = [], []
     for p in grid:
-        n_ff = negentropy(make_density("far_field", "spdc", "joint",
-                                       Params(p=p), TOL), TOL).value
-        n_nf = negentropy(make_density("near_field", "spdc", "joint",
-                                       Params(p=p), TOL), TOL).value
+        n_ff = negentropy(make_density("far_field", "spdc", Params(p=p), TOL),
+                          TOL).value
+        n_nf = negentropy(make_density("near_field", "spdc", Params(p=p), TOL),
+                          TOL).value
         checks.append((f"ff joint at P={p}", _within(n_ff, 0.15, 0.01)))
         checks.append((f"nf joint at P={p}", _within(n_nf, 0.22, 0.01)))
         totals.append(n_ff + n_nf)
@@ -147,8 +148,8 @@ def test_criterion_8_closed_forms():
     checks = []
     for plane in ("far_field", "near_field"):
         for p in (0.1, 0.5, 1.0, 2.0, 5.0):
-            num = covariance_numeric(make_density(plane, "spdc", "joint",
-                                                  Params(p=p), TOL), TOL)
+            num = covariance_numeric(make_density(plane, "spdc", Params(p=p),
+                                                  TOL), TOL)
             ref = covariance_closed(plane, Params(p=p), TOL)
             ok = (abs(num.var1 - ref.var1) < 1e-5 * max(1.0, ref.var1)
                   and abs(num.var2 - ref.var2) < 1e-5 * max(1.0, ref.var2)
@@ -161,21 +162,22 @@ def test_criterion_8_closed_forms():
 
 
 def _factor_spec(j, which):
-    """1-D density spec for one normalized rotated factor of a joint."""
-    f, dom, z = ((j.factor_plus, j.dom_plus, j.z_plus) if which == "plus"
-                 else (j.factor_minus, j.dom_minus, j.z_minus))
-    return DensitySpec(j.plane, j.model, "conditional", j.params, 1.0,
-                       tol=j.tol, pdf1=lambda t: f(t) / z,
-                       osc_scale=dom.osc_scale, seeds=(0.0,))
+    """1-D density of one normalized rotated factor of a joint: the
+    marginal of u or of v."""
+    f, osc, z = ((j.g, None, j.zg) if which == "plus"
+                 else (j.kernel, j.kernel_domain.osc_scale, j.zk))
+    return Density1D("marginal", lambda t: f(t) / z,
+                     Domain.full_line(osc_scale=osc), (0.0,))
 
 
 def _scaled_spec(spec, a):
-    return DensitySpec(spec.plane, spec.model, spec.form, spec.params,
-                       spec.norm, tol=spec.tol,
-                       pdf1=lambda x: a * spec.pdf1(a * x),
-                       osc_scale=(spec.osc_scale or 0.0) * a * a or None,
-                       seeds=tuple(s / a for s in spec.seeds),
-                       core_extent=spec.core_extent / a)
+    """The density of X / a when X ~ spec (a 1-D form)."""
+    dom = spec.domain
+    return Density1D(spec.form, lambda x: a * spec.pdf(a * x),
+                     dataclasses.replace(
+                         dom, osc_scale=(dom.osc_scale or 0.0) * a * a or None,
+                         core_extent=dom.core_extent / a),
+                     tuple(s / a for s in spec.seeds))
 
 
 def test_criterion_9_property_suite():
@@ -183,13 +185,13 @@ def test_criterion_9_property_suite():
 
     # Normalization of joint, marginal, and conditional forms (1e-6).
     for plane in ("far_field", "near_field"):
-        j = make_density(plane, "spdc", "joint", Params(p=0.7), TOL)
-        zu, _ = integrate_1d(j.factor_plus, j.dom_plus, TOL)
-        zv, _ = integrate_1d(j.factor_minus, j.dom_minus, TOL)
+        j = make_density(plane, "spdc", Params(p=0.7), TOL)
+        zu, _ = integrate_1d(j.g, Domain.full_line(), TOL)
+        zv, _ = integrate_1d(j.kernel, j.kernel_domain, TOL)
         checks.append((f"{plane} joint normalized",
                        _within(j.norm * zu * zv, 1.0, 1e-6)))
         for spec in (marginal_of(j, TOL), conditional_of(j, 0.3, TOL)):
-            v, _ = integrate_1d(spec.pdf1, spec.domain(), TOL,
+            v, _ = integrate_1d(spec.pdf, spec.domain, TOL,
                                 seed_points=spec.seeds)
             checks.append((f"{plane} {spec.form} normalized",
                            _within(v, 1.0, 1e-6)))
@@ -198,15 +200,15 @@ def test_criterion_9_property_suite():
         marg = marginal_of(j, TOL)
         ok = True
         for x1, x2 in ((0.2, 0.5), (-1.0, 0.8)):
-            lhs = conditional_of(j, x2, TOL)(x1) * marg.pdf1(x2)
-            rhs = eval_density(j, x1, x2)
+            lhs = conditional_of(j, x2, TOL)(x1) * marg(x2)
+            rhs = j(x1, x2)
             ok = ok and abs(lhs - rhs) <= 1e-9 * abs(rhs)
         checks.append((f"{plane} factorization identity", ok))
 
         # Exchange symmetry of the joint.
         checks.append((f"{plane} exchange symmetry",
-                       eval_density(j, 0.4, -0.9) ==
-                       pytest.approx(eval_density(j, -0.9, 0.4), rel=1e-12)))
+                       j(0.4, -0.9) == pytest.approx(j(-0.9, 0.4),
+                                                     rel=1e-12)))
 
         # Negentropy non-negativity, scale invariance, additivity.
         n_joint = negentropy(j, TOL).value
@@ -223,7 +225,7 @@ def test_criterion_9_property_suite():
                        _within(n_joint, n_sum, 1e-4)))
 
         # Zero negentropy for every Gaussian-model form (1e-5).
-        g = make_density(plane, "gaussian", "joint", Params(p=0.7), TOL,
+        g = make_density(plane, "gaussian", Params(p=0.7), TOL,
                          alpha=0.72)
         zero = all(abs(negentropy(s, TOL).value) < 1e-5
                    for s in (g, conditional_of(g, 0.2, TOL),

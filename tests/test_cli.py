@@ -242,12 +242,12 @@ class TestConstructionCounts:
     def test_joint_integrates_nothing(self, monkeypatch, plane, model, alpha):
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
-        make_density(plane, model, "joint", Params(p=1.0), FAST_TOL,
+        make_density(plane, model, Params(p=1.0), FAST_TOL,
                      alpha=alpha)
         assert counts == {"integrate_1d": 0}
 
     def test_origin_slice_mean_is_not_integrated(self, monkeypatch):
-        j = make_density("near_field", "spdc", "joint", Params(p=1.0),
+        j = make_density("near_field", "spdc", Params(p=1.0),
                          FAST_TOL)
         origin = conditional_of(j, 0.0, FAST_TOL)
         off = conditional_of(j, 0.4, FAST_TOL)

@@ -1,5 +1,6 @@
 """Unit tests for the two-photon density constructors."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,15 +12,15 @@ import pytest
 import spdc_ng
 from spdc_ng import quadrature, specfun
 from spdc_ng import distributions
-from spdc_ng.distributions import (DegenerateSliceError, Params, Physical,
-                                   _convolve_valid, _MarginalTable,
-                                   _next_fast_len, _UniformSpline,
-                                   conditional_of, eval_density,
+from spdc_ng.distributions import (DegenerateSliceError, Density1D, Joint,
+                                   Params, Physical, _convolve_valid,
+                                   _MarginalTable, _next_fast_len,
+                                   _UniformSpline, conditional_of,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
 from spdc_ng.entropy import differential_entropy, negentropy
 from spdc_ng.moments import _factor_variances
-from spdc_ng.quadrature import QuadTolerance, integrate_1d
+from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx, shape_constants
 
 TOL = QuadTolerance()
@@ -52,9 +53,9 @@ class TestNormalization:
     def test_joint_normalized(self, plane, p, sigma):
         if plane == "far_field" and sigma != 1.0:
             pytest.skip("far-field factors do not involve sigma")
-        j = make_density(plane, "spdc", "joint", Params(p=p, sigma=sigma), TOL)
-        zu, _ = integrate_1d(j.factor_plus, j.dom_plus, TOL)
-        zv, _ = integrate_1d(j.factor_minus, j.dom_minus, TOL)
+        j = make_density(plane, "spdc", Params(p=p, sigma=sigma), TOL)
+        zu, _ = integrate_1d(j.g, Domain.full_line(), TOL)
+        zv, _ = integrate_1d(j.kernel, j.kernel_domain, TOL)
         assert j.norm * zu * zv == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
@@ -66,15 +67,15 @@ class TestNormalization:
         # sqrt(pi/c) are the integrals the factor domains would give.  The
         # spdc kernel's algebraic tail leaves its quadrature within its own
         # error estimate of the exact b1 or a1, not within 1e-12.
-        j = make_density(plane, model, "joint", Params(p=p, sigma=2.0), TOL,
+        j = make_density(plane, model, Params(p=p, sigma=2.0), TOL,
                          alpha=alpha)
-        zu, _ = integrate_1d(j.factor_plus, j.dom_plus, TOL)
-        zv, zv_err = integrate_1d(j.factor_minus, j.dom_minus, TOL)
-        assert j.z_plus == pytest.approx(zu, rel=1e-12)
+        zu, _ = integrate_1d(j.g, Domain.full_line(), TOL)
+        zv, zv_err = integrate_1d(j.kernel, j.kernel_domain, TOL)
+        assert j.zg == pytest.approx(zu, rel=1e-12)
         if model == "spdc":
-            assert abs(j.z_minus - zv) <= zv_err
+            assert abs(j.zk - zv) <= zv_err
         else:
-            assert j.z_minus == pytest.approx(zv, rel=1e-12)
+            assert j.zk == pytest.approx(zv, rel=1e-12)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("model, alpha", (("spdc", None),
@@ -84,11 +85,11 @@ class TestNormalization:
         # The closed-form joint entropy is the sum of the two normalized
         # factor entropies; its error estimate covers the quadrature's
         # departure from it (a Gaussian kernel's entropy is exact).
-        j = make_density(plane, model, "joint", Params(p=p, sigma=2.0), TOL,
+        j = make_density(plane, model, Params(p=p, sigma=2.0), TOL,
                          alpha=alpha)
         h_bits = 0.0
-        for f, dom, z in ((j.factor_plus, j.dom_plus, j.z_plus),
-                          (j.factor_minus, j.dom_minus, j.z_minus)):
+        for f, dom, z in ((j.g, Domain.full_line(), j.zg),
+                          (j.kernel, j.kernel_domain, j.zk)):
             v, _ = integrate_1d(lambda t, f=f, z=z: _xlogx(f(t) / z), dom, TOL)
             h_bits -= v / math.log(2.0)
         diff = abs(differential_entropy(j, TOL) - h_bits)
@@ -101,23 +102,23 @@ class TestNormalization:
 
     def test_far_norm_closed_form(self):
         for p in (0.3, 1.0, 2.5):
-            j = make_density("far_field", "spdc", "joint", Params(p=p), TOL)
+            j = make_density("far_field", "spdc", Params(p=p), TOL)
             assert j.norm == pytest.approx(3.0 * p / (4.0 * math.sqrt(2.0)
                                                       * math.pi), rel=1e-7)
 
     def test_near_norm_closed_form(self):
         sc = shape_constants(TOL)
         for p, sigma in ((0.3, 1.0), (1.3, 1.0), (0.8, 2.0)):
-            j = make_density("near_field", "spdc", "joint",
-                             Params(p=p, sigma=sigma), TOL)
+            j = make_density("near_field", "spdc", Params(p=p, sigma=sigma),
+                             TOL)
             ref = 1.0 / (math.sqrt(2.0 * math.pi) * sc.a1 * sigma * p)
             assert j.norm == pytest.approx(ref, rel=1e-7)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_marginal_and_conditional_normalized(self, plane):
-        j = make_density(plane, "spdc", "joint", Params(p=1.0), TOL)
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
         for spec in (marginal_of(j, TOL), conditional_of(j, 0.4, TOL)):
-            v, _ = integrate_1d(spec.pdf1, spec.domain(), TOL,
+            v, _ = integrate_1d(spec.pdf, spec.domain, TOL,
                                 seed_points=spec.seeds)
             assert v == pytest.approx(1.0, abs=1e-6)
 
@@ -125,26 +126,24 @@ class TestNormalization:
 class TestStructure:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_exchange_symmetry(self, plane):
-        j = make_density(plane, "spdc", "joint", Params(p=0.7), TOL)
+        j = make_density(plane, "spdc", Params(p=0.7), TOL)
         for (a, b) in ((0.3, -1.1), (2.0, 0.5)):
-            assert eval_density(j, a, b) == pytest.approx(
-                eval_density(j, b, a), rel=1e-14)
+            assert j(a, b) == pytest.approx(j(b, a), rel=1e-14)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_factorization_identity(self, plane):
-        j = make_density(plane, "spdc", "joint", Params(p=1.0), TOL)
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
         marg = marginal_of(j, TOL)
         for (x1, x2) in ((0.3, 0.4), (1.1, -0.6)):
             cond = conditional_of(j, x2, TOL)
-            assert cond(x1) * marg.pdf1(x2) == pytest.approx(
-                eval_density(j, x1, x2), rel=1e-9)
+            assert cond(x1) * marg(x2) == pytest.approx(j(x1, x2), rel=1e-9)
 
     def test_marginal_table_matches_direct_quadrature(self):
         # Spot values across bulk and power-law tail (near field, P = 3).
         from scipy.integrate import quad
         from scipy.special import sici
         p = 3.0
-        j = make_density("near_field", "spdc", "joint", Params(p=p), TOL)
+        j = make_density("near_field", "spdc", Params(p=p), TOL)
         m = marginal_of(j, TOL)
 
         def sint2(y):
@@ -157,19 +156,39 @@ class TestStructure:
                           * sint2((w - z) ** 2 / (2 * p * p)),
                           -8, 8, limit=2000, epsabs=1e-14, epsrel=1e-12)
             ref *= j.norm * math.sqrt(2.0)
-            assert float(m.pdf1(x2)) == pytest.approx(ref, rel=1e-6)
+            assert m(x2) == pytest.approx(ref, rel=1e-6)
 
     def test_degenerate_slice_raises(self):
-        j = make_density("far_field", "gaussian", "joint", Params(p=1.0), TOL,
+        j = make_density("far_field", "gaussian", Params(p=1.0), TOL,
                          alpha=0.72)
         with pytest.raises(DegenerateSliceError):
             conditional_of(j, 60.0, TOL)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            make_density("mid_field", "spdc", "joint", Params(p=1.0))
+            make_density("mid_field", "spdc", Params(p=1.0))
         with pytest.raises(ValueError):
-            make_density("far_field", "spdc", "slice", Params(p=1.0))
+            make_density("far_field", "quantum", Params(p=1.0))
+
+    def test_densities_are_frozen(self):
+        j = make_density("far_field", "spdc", Params(p=1.0), TOL)
+        for density in (j, marginal_of(j, TOL), conditional_of(j, 0.4, TOL)):
+            for field in dataclasses.fields(density):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(density, field.name, None)
+
+    def test_types_and_forms(self):
+        j = make_density("near_field", "spdc", Params(p=1.0), TOL)
+        marg, cond = marginal_of(j, TOL), conditional_of(j, 0.4, TOL)
+        assert isinstance(j, Joint) and j.form == "joint"
+        assert isinstance(marg, Density1D) and marg.form == "marginal"
+        assert isinstance(cond, Density1D) and cond.form == "conditional_at"
+        assert marg.parent is j and cond.parent is j and cond.fixed == 0.4
+        with pytest.raises(ValueError):
+            Density1D("joint", cond.pdf, cond.domain)
+        for build in (marginal_of, conditional_of, gaussian_equivalent):
+            with pytest.raises(ValueError):
+                build(cond)
 
 
 def _oscillatory_calls(monkeypatch):
@@ -207,7 +226,7 @@ class TestEvenDeclarations:
 
     @pytest.mark.parametrize("plane, p", PLANE_P)
     def test_kernel_variance_and_origin_slice(self, monkeypatch, plane, p):
-        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
         _factor_variances(j, TOL)
         cond = conditional_of(j, 0.0, TOL)
@@ -215,27 +234,27 @@ class TestEvenDeclarations:
         assert len(calls) == 4
         for f, dom in calls:
             assert dom.even and _bitwise_even(f, _mirror_points(dom))
-        assert cond.even and cond.domain().even
+        assert cond.domain.even
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_offset_slice_is_not_even(self, monkeypatch, plane):
-        j = make_density(plane, "spdc", "joint", Params(p=1.0), TOL)
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
         calls = _oscillatory_calls(monkeypatch)
-        assert not conditional_of(j, 0.4, TOL).even
+        assert not conditional_of(j, 0.4, TOL).domain.even
         assert not calls[0][1].even
 
     @pytest.mark.parametrize("plane, p", PLANE_P)
     def test_marginal_and_its_cross_check(self, monkeypatch, plane, p):
-        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
         marg = marginal_of(j, TOL)
         (f0, dom0), (_, dom1) = calls    # cross-checks at x2 = 0 and 0.7
         assert dom0.even and _bitwise_even(f0, _mirror_points(dom0))
         assert not dom1.even
-        assert marg.even and marg.domain().even
-        x = _mirror_points(marg.domain())
-        mirrored = marg.pdf1(-x)
-        assert np.abs(mirrored - marg.pdf1(x)).max() <= 1e-13 * mirrored.max()
+        assert marg.domain.even
+        x = _mirror_points(marg.domain)
+        mirrored = marg(-x)
+        assert np.abs(mirrored - marg(x)).max() <= 1e-13 * mirrored.max()
 
     def test_near_field_log_integral(self, monkeypatch):
         calls = _oscillatory_calls(monkeypatch)
@@ -256,22 +275,19 @@ class TestMarginalConvolution:
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("p", (0.0034, 1.0))
-    def test_k_eff_evaluates_kernel_inside_v_c_only(self, monkeypatch, plane,
-                                                    p):
-        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
-        table = _MarginalTable(j, z_cap=1.0)
-        v_c = math.sqrt(table._PHASE_SMOOTH / table.osc)
-        v = (2.0 * v_c / 5000.0) * np.arange(-5000, 5001)
-        kernel = j.factor_minus
-        former = np.where(np.abs(v) <= v_c, kernel(v),
-                          table._k_avg(np.where(np.abs(v) > v_c, v, v_c)))
+    def test_k_eff_evaluates_kernel_inside_v_c_only(self, plane, p):
+        j = make_density(plane, "spdc", Params(p=p), TOL)
         seen = []
 
         def spy(x):
             seen.append(np.array(x))
-            return kernel(x)
+            return j.kernel(x)
 
-        monkeypatch.setattr(j, "factor_minus", spy)
+        table = _MarginalTable(dataclasses.replace(j, kernel=spy), z_cap=1.0)
+        v_c = math.sqrt(table._PHASE_SMOOTH / table.osc)
+        v = (2.0 * v_c / 5000.0) * np.arange(-5000, 5001)
+        former = np.where(np.abs(v) <= v_c, j.kernel(v),
+                          table._k_avg(np.where(np.abs(v) > v_c, v, v_c)))
         out = table._k_eff(v)
         assert np.abs(np.concatenate(seen)).max() <= v_c
         assert sum(map(len, seen)) == np.count_nonzero(np.abs(v) <= v_c)
@@ -305,7 +321,7 @@ class TestMarginalConvolution:
                 built.append((z, y))
 
         monkeypatch.setattr(distributions, "_UniformSpline", Recorded)
-        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        j = make_density(plane, "spdc", Params(p=p), TOL)
         negentropy(marginal_of(j, TOL), TOL)
         assert len(built) >= 2
         for z, y in built:
@@ -338,19 +354,19 @@ def _assert_spline_parity(z, y):
 
 class TestGaussianModel:
     def test_marginal_is_exact_normal(self):
-        j = make_density("near_field", "gaussian", "joint", Params(p=1.2),
+        j = make_density("near_field", "gaussian", Params(p=1.2),
                          TOL, alpha=0.72)
         m = marginal_of(j, TOL)
         var = 0.5 * (0.5 * j.g_width ** 2 + 0.5 * j.k_width ** 2)
         x = np.linspace(-4.0, 4.0, 9)
         ref = np.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
-        np.testing.assert_allclose(m.pdf1(x), ref, rtol=1e-12)
+        np.testing.assert_allclose(m(x), ref, rtol=1e-12)
 
     def test_conditional_variance_closed_form(self):
         # var(x1 | x2 = 0) = (g^2 k^2) / (g^2 + k^2) in half-width units.
         from spdc_ng.moments import moments_1d
         alpha, p = 0.45, 0.8
-        j = make_density("far_field", "gaussian", "joint", Params(p=p), TOL,
+        j = make_density("far_field", "gaussian", Params(p=p), TOL,
                          alpha=alpha)
         _, var = moments_1d(conditional_of(j, 0.0, TOL), TOL)
         assert var == pytest.approx(1.0 / (1.0 + alpha * p * p), rel=1e-8)
@@ -358,9 +374,23 @@ class TestGaussianModel:
     def test_gaussian_equivalent_matches_covariance(self):
         from spdc_ng.moments import covariance_numeric
         for plane in ("far_field", "near_field"):
-            j = make_density(plane, "spdc", "joint", Params(p=0.9), TOL)
+            j = make_density(plane, "spdc", Params(p=0.9), TOL)
             g = gaussian_equivalent(j, TOL)
             cj = covariance_numeric(j, TOL)
             cg = covariance_numeric(g, TOL)
             assert cg.var1 == pytest.approx(cj.var1, rel=1e-6)
             assert cg.cov == pytest.approx(cj.cov, rel=1e-5, abs=1e-8)
+
+    def test_gaussian_equivalent_of_gaussian_is_itself(self):
+        g = make_density("near_field", "gaussian", Params(p=1.0), TOL,
+                         alpha=0.72)
+        assert gaussian_equivalent(g, QuadTolerance(1e-8, 1e-6)) is g
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from spdc_ng import *", namespace)
+    assert all(namespace[name] is getattr(spdc_ng, name)
+               for name in spdc_ng.__all__)
+    assert {"Joint", "Density1D"} <= set(namespace)
+    assert not {"DensitySpec", "eval_density"} & set(vars(spdc_ng))

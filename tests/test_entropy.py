@@ -1,44 +1,51 @@
 """Unit tests for the entropy and non-Gaussianity layer."""
 
+import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from spdc_ng.distributions import (DensitySpec, Params, conditional_of,
+import spdc_ng
+from spdc_ng.distributions import (Density1D, Params, conditional_of,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
 from spdc_ng.entropy import (conditional_gaussian_mismatch,
                              differential_entropy, gaussian_entropy_closed,
                              marginal_negentropy_limits, negentropy, ng_report)
 from spdc_ng.moments import conditional_variances
-from spdc_ng.quadrature import QuadTolerance
+from spdc_ng.quadrature import Domain, QuadTolerance
 
 TOL = QuadTolerance()
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _scaled_copy(spec, a):
     """The density of X / a when X ~ spec (a 1-D form)."""
-    out = DensitySpec(spec.plane, spec.model, spec.form, spec.params,
-                      spec.norm, alpha=spec.alpha, fixed=spec.fixed, tol=spec.tol,
-                      pdf1=lambda x: a * spec.pdf1(a * x),
-                      osc_scale=(spec.osc_scale or 0.0) * a * a or None,
-                      seeds=tuple(s / a for s in spec.seeds),
-                      core_extent=spec.core_extent / a)
-    return out
+    dom = spec.domain
+    return Density1D(spec.form, lambda x: a * spec.pdf(a * x),
+                     dataclasses.replace(
+                         dom, osc_scale=(dom.osc_scale or 0.0) * a * a or None,
+                         core_extent=dom.core_extent / a),
+                     tuple(s / a for s in spec.seeds), fixed=spec.fixed)
 
 
 class TestGaussianBaseline:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_zero_negentropy_all_forms(self, plane):
-        j = make_density(plane, "gaussian", "joint", Params(p=0.8), TOL,
+        j = make_density(plane, "gaussian", Params(p=0.8), TOL,
                          alpha=0.72)
         for spec in (j, conditional_of(j, 0.3, TOL), marginal_of(j, TOL)):
             assert abs(negentropy(spec, TOL).value) < 1e-5
 
     def test_closed_entropy_matches_matched_joint(self):
         for plane in ("far_field", "near_field"):
-            j = make_density(plane, "spdc", "joint", Params(p=1.3), TOL)
+            j = make_density(plane, "spdc", Params(p=1.3), TOL)
             h = differential_entropy(gaussian_equivalent(j, TOL), TOL)
             assert h == pytest.approx(gaussian_entropy_closed(plane,
                                                               Params(p=1.3),
@@ -48,12 +55,12 @@ class TestGaussianBaseline:
 class TestNegentropyProperties:
     def test_nonnegative(self):
         for plane in ("far_field", "near_field"):
-            j = make_density(plane, "spdc", "joint", Params(p=0.9), TOL)
+            j = make_density(plane, "spdc", Params(p=0.9), TOL)
             for spec in (j, conditional_of(j, 0.0, TOL), marginal_of(j, TOL)):
                 assert negentropy(spec, TOL).value > -1e-8
 
     def test_scale_invariance(self):
-        j = make_density("far_field", "spdc", "joint", Params(p=0.7), TOL)
+        j = make_density("far_field", "spdc", Params(p=0.7), TOL)
         cond = conditional_of(j, 0.0, TOL)
         base = negentropy(cond, TOL).value
         for a in (0.3, 2.0, 7.0):
@@ -63,17 +70,16 @@ class TestNegentropyProperties:
     def test_joint_reduces_to_kernel_factor(self):
         # The far-field u-factor is Gaussian, so the joint negentropy is
         # carried entirely by the normalized v-factor.
-        j = make_density("far_field", "spdc", "joint", Params(p=1.0), TOL)
-        vspec = DensitySpec("far_field", "spdc", "conditional", j.params,
-                            1.0, tol=TOL,
-                            pdf1=lambda v: j.factor_minus(v) / j.z_minus,
-                            osc_scale=j.dom_minus.osc_scale, seeds=(0.0,))
+        j = make_density("far_field", "spdc", Params(p=1.0), TOL)
+        vspec = Density1D(
+            "marginal", lambda v: j.kernel(v) / j.zk,
+            Domain.full_line(osc_scale=j.kernel_domain.osc_scale), (0.0,))
         assert negentropy(j, TOL).value == pytest.approx(
             negentropy(vspec, TOL).value, abs=1e-6)
 
     def test_fields_consistent(self):
-        n = negentropy(make_density("near_field", "spdc", "joint",
-                                    Params(p=1.0), TOL), TOL)
+        n = negentropy(make_density("near_field", "spdc", Params(p=1.0), TOL),
+                       TOL)
         assert n.value == pytest.approx(n.h_gaussian - n.h_actual, abs=1e-12)
         assert n.err_estimate >= 0
 
@@ -110,8 +116,8 @@ class TestMarginalLimits:
 
     def test_marginals_approach_their_limits(self):
         n_small, n_large = marginal_negentropy_limits(TOL)
-        ff = make_density("far_field", "spdc", "joint", Params(p=0.02), TOL)
-        nf = make_density("near_field", "spdc", "joint", Params(p=9.0), TOL)
+        ff = make_density("far_field", "spdc", Params(p=0.02), TOL)
+        nf = make_density("near_field", "spdc", Params(p=9.0), TOL)
         assert negentropy(marginal_of(ff, TOL), TOL).value == \
             pytest.approx(n_small, abs=2e-3)
         assert negentropy(marginal_of(nf, TOL), TOL).value == \
@@ -126,3 +132,31 @@ class TestConditionalMismatch:
     def test_finite_at_moderate_p(self):
         m = conditional_gaussian_mismatch("near_field", Params(p=1.0), TOL)
         assert np.isfinite(m)
+
+
+def test_benchmark_tracer_names_negentropy_spans_by_form():
+    # The benchmark's tracer wraps every public function and names each
+    # negentropy span after the density's ``form``.
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(PERFBENCH)!r})
+        from tracer import Tracer
+        tracer = Tracer()
+        tracer.install()
+        from spdc_ng import distributions as d, entropy
+        from spdc_ng.quadrature import QuadTolerance
+        tol = QuadTolerance(abs_tol=1e-8, rel_tol=1e-6)
+        j = d.make_density("far_field", "spdc", d.Params(p=1.0), tol)
+        for spec in (j, d.marginal_of(j, tol), d.conditional_of(j, 0.0, tol)):
+            entropy.negentropy(spec, tol)
+        print(*[s[0] for s in tracer.spans
+                if s[0].startswith("entropy.negentropy")])
+    """)
+    src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src,
+                                         "PYTHONDONTWRITEBYTECODE": "1"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["entropy.negentropy.joint",
+                                  "entropy.negentropy.marginal",
+                                  "entropy.negentropy.conditional"]

@@ -36,7 +36,7 @@ class TestCovariance:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("p", (0.1, 0.5, 1.0, 2.0, 5.0))
     def test_closed_vs_numeric(self, plane, p):
-        j = make_density(plane, "spdc", "joint", Params(p=p), TOL)
+        j = make_density(plane, "spdc", Params(p=p), TOL)
         num = covariance_numeric(j, TOL)
         ref = covariance_closed(plane, Params(p=p), TOL)
         assert num.var1 == pytest.approx(ref.var1, abs=1e-5 * max(1, ref.var1))
@@ -119,10 +119,9 @@ class TestMancini:
     def test_matches_sum_difference_variances(self):
         # product of var(q1+q2) and var(x1-x2) from the joint factors
         p = Params(p=1.0)
-        ff = covariance_numeric(make_density("far_field", "spdc", "joint",
-                                             p, TOL), TOL)
-        nf = covariance_numeric(make_density("near_field", "spdc", "joint",
-                                             p, TOL), TOL)
+        ff = covariance_numeric(make_density("far_field", "spdc", p, TOL), TOL)
+        nf = covariance_numeric(make_density("near_field", "spdc", p, TOL),
+                                TOL)
         sum_q = 2.0 * (ff.var1 + ff.cov)
         diff_x = 2.0 * (nf.var1 - nf.cov)
         assert sum_q * diff_x == pytest.approx(
