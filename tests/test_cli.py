@@ -214,7 +214,24 @@ class TestConstructionCounts:
 
         monkeypatch.setattr(quadrature, "_integrate_oscillatory", spy)
         _report_record(1.0, 1.0, QuadTolerance())
-        assert points[0] == 529044
+        assert points[0] == 529088
+
+    def test_report_adaptive_core_calls(self, monkeypatch):
+        # The cores evaluate their initial panels in one call and bisect in
+        # look-ahead batches: 1,182 calls of 22 points one panel at a time.
+        shape_constants()
+        calls = [0]
+        run = quadrature._adaptive_finite
+
+        def spy(f, *args, **kwargs):
+            def counted(x):
+                calls[0] += 1
+                return f(x)
+            return run(counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_adaptive_finite", spy)
+        _report_record(1.0, 1.0, QuadTolerance())
+        assert calls[0] == 35
 
     def test_cold_shape_constants_integrate_two(self, monkeypatch):
         # a1, a2, b1 and the sinc moment ratio are closed forms; only the

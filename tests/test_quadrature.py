@@ -1,9 +1,12 @@
 """Unit tests for the adaptive/oscillatory quadrature layer."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdc_ng import quadrature
 from spdc_ng.quadrature import (Domain, QuadratureError, QuadTolerance,
@@ -122,11 +125,13 @@ def _all_blocks_tail(f, scale, y_start, tol, side):
 
 
 def _counted(f):
-    """``f`` plus a list holding the number of points it was called on."""
-    seen = [0]
+    """``f`` plus a list holding the number of points it was called on and
+    the number of calls."""
+    seen = [0, 0]
 
     def g(x):
         seen[0] += np.size(x)
+        seen[1] += 1
         return f(x)
 
     return g, seen
@@ -235,6 +240,149 @@ class TestEvenFolding:
             Domain(kind, a, b, osc_scale=1.0, even=True)
 
 
+def _panel_rule(f, a, b):
+    """15-point Gauss value and |G15 - G7| error on [a, b], one call of f."""
+    h = 0.5 * (b - a)
+    m = 0.5 * (a + b)
+    x = np.concatenate([m + h * quadrature._G15_X, m + h * quadrature._G7_X])
+    y = np.asarray(f(x), dtype=float)
+    v15 = h * float(y[:15] @ quadrature._G15_W)
+    v7 = h * float(y[15:] @ quadrature._G7_W)
+    return v15, abs(v15 - v7)
+
+
+def _sequential_adaptive(f, a, b, tol, seed_points=()):
+    """Reference core: the same bisection as ``_adaptive_finite``, with the
+    integrand called once per panel, as the library did before it batched
+    panels."""
+    edges = {a, b}
+    for p in seed_points:
+        if a < p < b:
+            edges.add(float(p))
+    edges = sorted(edges)
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        pieces.extend(np.linspace(lo, hi, 5))
+    pieces = sorted(set(pieces))
+
+    heap = []
+    total = 0.0
+    toterr = 0.0
+    count = 0
+    for lo, hi in zip(pieces[:-1], pieces[1:]):
+        v, e = _panel_rule(f, lo, hi)
+        heapq.heappush(heap, (-e, lo, hi, v))
+        total += v
+        toterr += e
+        count += 1
+
+    while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):
+        if count >= tol.max_subdivisions:
+            raise QuadratureError("quadrature did not converge within max_subdivisions",
+                                  total, toterr)
+        negerr, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = _panel_rule(f, lo, mid)
+        v2, e2 = _panel_rule(f, mid, hi)
+        total += v1 + v2 - v
+        toterr += e1 + e2 - (-negerr)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        count += 1
+
+    panels = sorted((lo, v, -ne) for ne, lo, hi, v in heap)
+    value = math.fsum(p[1] for p in panels)
+    err = math.fsum(p[2] for p in panels)
+    return value, err
+
+
+def _both_cores(monkeypatch, f, domain, tol=None, seed_points=()):
+    """integrate_1d of f with the batched core, then with the reference
+    core, and the number of integrand calls each made."""
+    out = []
+    for core in (quadrature._adaptive_finite, _sequential_adaptive):
+        monkeypatch.setattr(quadrature, "_adaptive_finite", core)
+        g, seen = _counted(f)
+        out.append((integrate_1d(g, domain, tol, seed_points), seen[1]))
+    return out
+
+
+class TestBatchedPanels:
+    """The batched core refines the same panels in the same order as one
+    panel per call, so (value, err) agree bit for bit."""
+
+    XC = math.sqrt(32.0 * math.pi)    # core edge at osc_scale 1
+
+    CASES = {
+        "smooth": (lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+                   Domain.finite(-4.0, 5.0), ()),
+        "kink": (lambda x: np.abs(x - 0.3) * np.exp(x),
+                 Domain.finite(0.0, 2.0), (0.3,)),
+        "sint2": (lambda x: sint(x * x) ** 2,
+                  Domain.full_line(osc_scale=1.0, even=True), ()),
+        "sinc2_half": (lambda x: sinc(x * x) ** 2,
+                       Domain.half_line(0.0, osc_scale=1.0), ()),
+        "xlogx_sint2": (lambda x: _xlogx(sint(x * x) ** 2),
+                        Domain.full_line(osc_scale=1.0), ()),
+        "xlogx_sinc2": (lambda x: _xlogx(sinc(x * x) ** 2),
+                        Domain.half_line(0.0, osc_scale=1.0), ()),
+        "mapped": (lambda x: 1.0 / (1.0 + x * x), Domain.full_line(), ()),
+    }
+
+    @pytest.mark.parametrize("abs_tol", (1e-7, 1e-10, 1e-12))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_one_panel_per_call(self, monkeypatch, name, abs_tol):
+        f, dom, seeds = self.CASES[name]
+        tol = QuadTolerance(abs_tol=abs_tol, rel_tol=abs_tol * 100.0)
+        (got, calls), (ref, ref_calls) = _both_cores(monkeypatch, f, dom, tol,
+                                                     seeds)
+        assert got == ref                  # value and err, bit for bit
+        assert calls < ref_calls
+
+    def test_core_of_oscillatory_tail_integrand(self):
+        # The core that integrate_1d hands sint^2(x^2) at osc_scale 1.
+        f = self.CASES["sint2"][0]
+        tol = QuadTolerance()
+        g, seen = _counted(f)
+        got = quadrature._adaptive_finite(g, -self.XC, self.XC, tol)
+        h, ref_seen = _counted(f)
+        assert got == _sequential_adaptive(h, -self.XC, self.XC, tol)
+        assert 0 < seen[1] <= ref_seen[1] // 10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_narrow_bumps(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-20.0, 20.0, 3)
+        widths = 10.0 ** rng.uniform(-3.0, -1.0, 3)
+
+        def bumps(x):
+            return sum(np.exp(-((x - c) / w) ** 2)
+                       for c, w in zip(centres, widths))
+
+        for seeds in ((), tuple(centres)):
+            (got, _), (ref, _) = _both_cores(monkeypatch, bumps,
+                                             Domain.finite(-25.0, 25.0),
+                                             seed_points=seeds)
+            assert got == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(-3.0, 3.0), w=st.floats(1e-3, 2.0),
+           amp=st.floats(1e-6, 1e3), abs_exp=st.integers(-13, -6),
+           rel_exp=st.integers(-12, -4))
+    def test_gaussian_bumps(self, c, w, amp, abs_exp, rel_exp):
+        def f(x):
+            return amp * np.exp(-((x - c) / w) ** 2) + 0.1 * np.cos(x)
+
+        tol = QuadTolerance(abs_tol=10.0 ** abs_exp, rel_tol=10.0 ** rel_exp)
+        results = []
+        for core in (quadrature._adaptive_finite, _sequential_adaptive):
+            try:
+                results.append(core(f, -4.0, 4.0, tol))
+            except QuadratureError as exc:
+                results.append(("raised", exc.value, exc.err_estimate))
+        assert results[0] == results[1]
+
+
 class TestErrorHonesty:
     CASES = [
         (lambda x: np.exp(-x * x), Domain.full_line(), SQRT_PI),
@@ -264,13 +412,22 @@ class TestErrorHonesty:
 
 
 class TestFailurePaths:
-    def test_exhausted_budget_raises_with_partial_result(self):
-        with pytest.raises(QuadratureError, match="max_subdivisions") as info:
-            integrate_1d(lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0)),
-                         Domain.finite(0.0, 1.0),
-                         QuadTolerance(max_subdivisions=10))
-        assert math.isfinite(info.value.value)
-        assert math.isfinite(info.value.err_estimate)
+    def test_exhausted_budget_raises_with_partial_result(self, monkeypatch):
+        raised = []
+        for core in (quadrature._adaptive_finite, _sequential_adaptive):
+            monkeypatch.setattr(quadrature, "_adaptive_finite", core)
+            with pytest.raises(QuadratureError, match="max_subdivisions") as info:
+                integrate_1d(lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0)),
+                             Domain.finite(0.0, 1.0),
+                             QuadTolerance(max_subdivisions=10))
+            raised.append(info.value)
+        got, ref = raised
+        assert math.isfinite(got.value)
+        assert math.isfinite(got.err_estimate)
+        # The batched core gives up where one panel per call does.
+        assert got.value == ref.value
+        assert got.err_estimate == ref.err_estimate
+        assert str(got) == str(ref)
 
 
 class TestValidation:
