@@ -20,15 +20,16 @@ A ``Joint`` holds one such product; its marginals and conditionals are
 
 Marginals require a genuine convolution, m(xi2) = norm * sqrt(2) *
 integral g(w) k(w - sqrt(2) xi2) dw, and sit inside entropy integrands, so
-they are tabulated once on a uniform grid by FFT convolution (sampled finely
-enough that the Gaussian spectrum kills aliasing from the oscillatory
-kernel) and interpolated with a uniform-grid not-a-knot cubic spline.
+each is tabulated once, at its full reach, when ``marginal_of`` builds it.
+The kernel is sampled on a fine step, fine enough that the Gaussian spectrum
+kills aliasing from its oscillation, but enters the FFT convolution only
+through the moments of cells about g_width/128 wide.  The table has that
+coarse step and is read through a uniform-grid not-a-knot cubic spline.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import ClassVar
@@ -252,6 +253,12 @@ def _convolve_valid(a, b):
 _SPLINE_R = math.sqrt(3.0) - 2.0
 _SPLINE_INVERSE = _SPLINE_R ** np.abs(np.arange(-28.0, 29.0)) / math.sqrt(12.0)
 
+# A marginal table's cells are g_width / _CELLS_PER_G_WIDTH wide, and g is
+# expanded across a cell to order _TAYLOR_ORDER.  The first term left out is
+# at most (1/256)^7 max|H_7(t) exp(-t^2)| / 7! = 1.1e-18 of the kernel mass.
+_CELLS_PER_G_WIDTH = 128
+_TAYLOR_ORDER = 6
+
 
 class _UniformSpline:
     """Not-a-knot cubic spline through (z, y) on a uniform grid of N >= 4
@@ -292,25 +299,32 @@ class _UniformSpline:
 
 
 class _MarginalTable:
-    """Uniform-grid FFT-convolution table for a marginal, with spline lookup.
+    """The convolution C(z) = integral g(w) k(w - z) dw of a marginal,
+    tabulated once and read through a cubic spline.
 
-    The marginal is m(xi2) = norm*sqrt(2)*C(sqrt(2)*xi2) with
-    C(z) = integral g(w) k(w - z) dw.  C is tabulated on a symmetric uniform
-    z-grid and read through a not-a-knot cubic spline on that grid
-    (``_UniformSpline``); the step resolves the Gaussian, the kernel core,
-    and the output ripple.  Two asymptotic devices keep the table bounded.
-    The kernel's deep oscillatory tail (phase beyond ~300 rad) is replaced
-    by its local average c_env / (osc * v^2)^2 before convolving, exact to
-    O(1/phase^2).  Lookups past the table's reach (never short of
-    ``z_cap``) fall back to that average at z, Zg * c_env / (osc * z^2)^2,
-    which leaves out the Gaussian smoothing: the convolution is larger by
-    the factor
+    The marginal is m(xi2) = norm*sqrt(2)*C(sqrt(2)*xi2).  C is the Riemann
+    sum h * sum_i k_eff(v_i) g(z - v_i) on a fine step h that resolves the
+    Gaussian, the kernel core and the kernel phase.  The sum is not formed
+    node by node.  The fine nodes are grouped into cells of an odd number q
+    of nodes, H = q h about g_width / _CELLS_PER_G_WIDTH wide, and each cell
+    enters through its moments M_n = h * sum k_eff(c + d) d^n about its
+    centre c, n <= _TAYLOR_ORDER.  Expanding g(z - c - d) in d turns the sum
+    into sum_n of discrete convolutions of M_n with (-1)^n g^(n) / n!, all
+    on the coarse output grid z = j H, where C is splined
+    (``_UniformSpline``).  At q = 1 this is the fine sum itself.
+
+    Two asymptotic devices keep the table bounded.  The kernel's deep
+    oscillatory tail (phase beyond ~300 rad, |v| > v_c) is replaced by its
+    local average c_env / (osc * v^2)^2, exact to O(1/phase^2); cells wholly
+    beyond v_c take their moments of that average from a min(q, 8)-point
+    Gauss-Legendre rule instead of their q nodes.  The table is built once,
+    at its full reach 1.05 ``z_cap``; lookups past it fall back to the
+    average at z, Zg * c_env / (osc * z^2)^2, which leaves out the Gaussian
+    smoothing: the convolution is larger by the factor
     1 + 10 s^2/z^2 + 105 s^4/z^4 + ..., s^2 = g_width^2/2, so the fallback
     sits about 2% below the spline at the table edge.  The regions they
-    serve carry ~1e-4 of the probability mass.  The table
-    grows geometrically: a lookup beyond its reach rebuilds it at least
-    twice as wide (and at most to 1.05 ``z_cap``), so the short reach asked
-    first by a tail probe adds no build.
+    serve carry ~1e-4 of the probability mass.  The table is immutable, so
+    lookups are thread-safe.
     """
 
     _PHASE_SMOOTH = 300.0
@@ -318,57 +332,70 @@ class _MarginalTable:
     def __init__(self, joint, z_cap):
         self.joint = joint
         self.z_cap = z_cap
-        self._lock = threading.Lock()
-        self._spline = None
-        self._zmax = 0.0
         # Averaged squared-kernel envelope: sin^2 -> 1/2 for the sinc shape,
         # (2/pi) cos -> 2/pi^2 for the sint shape, each over phase^2.
         self.c_env = 0.5 if joint.plane == "far_field" else 2.0 / math.pi ** 2
         self.osc = joint.kernel_domain.osc_scale
+        self.v_c = math.sqrt(self._PHASE_SMOOTH / self.osc)
+        self._build(1.05 * z_cap)
 
     def _k_avg(self, v):
         y = self.osc * np.square(v)
         return self.c_env / (y * y)
 
     def _k_eff(self, v):
-        v_c = math.sqrt(self._PHASE_SMOOTH / self.osc)
-        near = np.abs(v) <= v_c
+        near = np.abs(v) <= self.v_c
         out = np.empty_like(v)
         out[near] = self.joint.kernel(v[near])
         out[~near] = self._k_avg(v[~near])
         return out
 
+    def _cell_moments(self, centres, h, q, orders):
+        """M_n = h * sum k_eff(c + d) d^n over the q fine nodes of each cell,
+        n < orders; cells wholly beyond v_c integrate the average k_avg by
+        Gauss-Legendre instead."""
+        far = np.abs(centres) - 0.5 * (q - 1) * h > self.v_c
+        moments = np.empty((orders, len(centres)))
+        x, wts = np.polynomial.legendre.leggauss(min(q, 8))
+        for sel, nodes, weights, k in (
+                (~far, h * (np.arange(q) - 0.5 * (q - 1)), np.full(q, h),
+                 self._k_eff),
+                (far, 0.5 * q * h * x, 0.5 * q * h * wts, self._k_avg)):
+            kw = k(centres[sel, None] + nodes) * weights
+            moments[:, sel] = (kw @ np.vander(nodes, orders, True)).T
+        return moments
+
     def _build(self, zmax):
         j = self.joint
-        wg = 7.0 * j.g_width
+        gw = j.g_width
+        wg = 7.0 * gw
         vmax = zmax + wg
-        v_c = math.sqrt(self._PHASE_SMOOTH / self.osc)
-        f_max = 2.0 * self.osc * min(vmax, v_c)   # phase slope of osc v^2
-        h = math.pi / (18.0 * f_max + 33.0 / j.g_width + 33.0 / j.k_width + 18.0)
-        m = int(math.ceil(wg / h))
-        n = int(math.ceil(zmax / h)) + 2
-        w = h * np.arange(-m, m + 1)
-        gv = j.g(w)
-        vk = h * np.arange(-(m + n), m + n + 1)
-        kv = self._k_eff(vk)
-        conv = _convolve_valid(kv, gv) * h   # length 2n+1, z = j*h
-        z = h * np.arange(-n, n + 1)
+        f_max = 2.0 * self.osc * min(vmax, self.v_c)   # phase slope of osc v^2
+        h = math.pi / (18.0 * f_max + 33.0 / gw + 33.0 / j.k_width + 18.0)
+        q = 2 * int(gw / (2.0 * _CELLS_PER_G_WIDTH * h)) + 1
+        step = q * h
+        m = int(math.ceil(wg / step))
+        n = int(math.ceil(zmax / step)) + 2
+        orders = _TAYLOR_ORDER + 1 if q > 1 else 1   # at q = 1 every d is 0
+        moments = self._cell_moments(step * np.arange(-(m + n), m + n + 1),
+                                     h, q, orders)
+        # Taps (-1)^n g^(n)(w) / n! = H_n(t) g(w) / (g_width^n n!), where
+        # t = w / g_width and H_n are the physicists' Hermite polynomials.
+        w = step * np.arange(-m, m + 1)
+        t, gv = w / gw, j.g(w)
+        herm = (np.ones_like(t), 2.0 * t)
+        conv = _convolve_valid(moments[0], gv)   # length 2n+1, z = j*step
+        for k in range(1, orders):
+            conv += _convolve_valid(moments[k], herm[1] * gv
+                                    / (gw ** k * math.factorial(k)))
+            herm = (herm[1], 2.0 * t * herm[1] - 2.0 * k * herm[0])
+        z = step * np.arange(-n, n + 1)
         self._spline = _UniformSpline(z, conv)
-        self._zmax = n * h
-
-    def ensure(self, zmax):
-        zmax = min(zmax, self.z_cap)
-        with self._lock:
-            if self._spline is None or zmax > self._zmax:
-                self._build(min(max(1.05 * zmax, 2.0 * self._zmax, 1.0),
-                                1.05 * self.z_cap))
+        self._zmax = n * step
 
     def c_of(self, z):
         z = np.asarray(z, float)
-        need = float(np.max(np.abs(z))) if z.size else 0.0
-        self.ensure(need)
-        az = np.abs(z)
-        inside = az <= self._zmax
+        inside = np.abs(z) <= self._zmax
         out = np.where(inside, self._spline(np.where(inside, z, 0.0)),
                        self.joint.zg * self._k_avg(np.where(inside, 1.0, z)))
         return np.clip(out, 0.0, None)

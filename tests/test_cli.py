@@ -99,6 +99,14 @@ class TestSweep:
         assert _run(base + ["--threads", "4", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_marginal_sweep_same_bytes_on_two_threads(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["sweep", "--quantity", "ng_marg", "--p-min", "0.3",
+                "--p-max", "3", "--steps", "4"]
+        assert _run(base + ["--threads", "1", "--out", str(a)]) == 0
+        assert _run(base + ["--threads", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_linear_grid(self, tmp_path):
         out = tmp_path / "l.csv"
         _run(["sweep", "--quantity", "delta_b", "--linear", "--p-min", "1",
@@ -182,22 +190,20 @@ class TestConstructionCounts:
         _report_record(p, 1.0, FAST_TOL)
         assert counts == {"integrate_1d": 14}
 
-    @pytest.mark.parametrize("p, builds", ((0.0034, 5), (0.05, 6), (1.0, 6),
-                                           (20.0, 6), (99.0, 5)))
-    def test_report_marginal_table_builds(self, monkeypatch, p, builds):
-        # Each table grows at least 2x per rebuild, so the tail probe's
-        # shorter first reach adds no build.
+    @pytest.mark.parametrize("p", (0.0034, 0.05, 1.0, 20.0, 99.0))
+    def test_report_marginal_table_builds(self, monkeypatch, p):
+        # One table per marginal, built once at its full reach.
         shape_constants()
         calls = []
         build = distributions._MarginalTable._build
 
         def spy(table, zmax):
-            calls.append(zmax)
+            calls.append((table.joint.plane, zmax == 1.05 * table.z_cap))
             return build(table, zmax)
 
         monkeypatch.setattr(distributions._MarginalTable, "_build", spy)
         _report_record(p, 1.0, QuadTolerance())
-        assert len(calls) <= builds
+        assert sorted(calls) == [("far_field", True), ("near_field", True)]
 
     def test_report_integrand_points(self, monkeypatch):
         # Every integral of a report is oscillatory.  12 of its 14 fold
