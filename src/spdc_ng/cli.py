@@ -167,11 +167,18 @@ def _run_sweep_table(columns, grid, worker, threads, out_path):
 
 def _threads_from(args):
     if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("SPDC_NG_THREADS", 0)) or (os.cpu_count() or 1)
+        if args.threads < 1:
+            raise _UsageError("--threads must be >= 1")
+        return args.threads
+    env = os.environ.get("SPDC_NG_THREADS", "")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise _UsageError("--threads must be >= 1")
+        raise _UsageError(f"SPDC_NG_THREADS must be an integer >= 1, got {env!r}")
     return n
 
 

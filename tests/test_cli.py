@@ -33,9 +33,33 @@ class TestExitCodes:
         assert _run(["sweep", "--quantity", "bogus"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_bad_threads_is_usage_error(self):
+    def test_bad_threads_is_usage_error(self, capsys):
         assert _run(["sweep", "--quantity", "delta_b", "--steps", "2",
                      "--threads", "0"]) == 1
+        assert "--threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ("two", "0", "-1", "1.5"))
+    def test_bad_threads_variable_is_usage_error(self, monkeypatch, capsys,
+                                                 value):
+        monkeypatch.setenv("SPDC_NG_THREADS", value)
+        assert _run(["sweep", "--quantity", "mancini", "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert f"SPDC_NG_THREADS must be an integer >= 1, got {value!r}" in err
+        assert "--threads" not in err
+
+    @pytest.mark.parametrize("value", ("", "2"))
+    def test_threads_variable_accepted(self, monkeypatch, tmp_path, value):
+        # Unset or empty means one thread per CPU.
+        monkeypatch.setenv("SPDC_NG_THREADS", value)
+        out = tmp_path / "s.csv"
+        assert _run(["sweep", "--quantity", "mancini", "--steps", "2",
+                     "--out", str(out)]) == 0
+
+    def test_threads_option_overrides_variable(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SPDC_NG_THREADS", "two")
+        out = tmp_path / "s.csv"
+        assert _run(["sweep", "--quantity", "mancini", "--steps", "2",
+                     "--threads", "1", "--out", str(out)]) == 0
 
     def test_negative_tolerance_is_computation_error(self, capsys):
         assert _run(["report", "--p", "1.0", "--abs-tol", "-1"]) == 2
@@ -240,8 +264,10 @@ class TestConstructionCounts:
         assert calls[0] == 35
 
     def test_cold_shape_constants_integrate_two(self, monkeypatch):
-        # a1, a2, b1 and the sinc moment ratio are closed forms; only the
-        # log-integrals i_ff and i_nf are integrated.
+        # a1, a2, b1 and the sinc moment ratio are closed forms.  The
+        # log-integrals i_ff and i_nf each integrate their first lobes once;
+        # their periods beyond are fixed Gauss rules and their tails closed
+        # forms, which call no quadrature.
         monkeypatch.setattr(specfun, "_cache", {})
         counts = _count_calls(monkeypatch, "integrate_1d")
         shape_constants(FAST_TOL)

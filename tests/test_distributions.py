@@ -26,6 +26,10 @@ from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx, shape_constants
 
 TOL = QuadTolerance()
+# The log-integral shape constants i_ff, i_nf and the moment A1, as the
+# oracles of tests/test_oracles.py pin them (to 5e-13).
+I_FF_REF, I_NF_REF = -0.364836201865, -0.691580771301
+A1_REF = 1.40076660621066
 
 
 class TestParams:
@@ -85,22 +89,30 @@ class TestNormalization:
     @pytest.mark.parametrize("p", (0.0034, 1.0, 30.0))
     def test_joint_entropy_matches_quadrature(self, plane, model, alpha, p):
         # The closed-form joint entropy is the sum of the two normalized
-        # factor entropies; its error estimate covers the quadrature's
-        # departure from it (a Gaussian kernel's entropy is exact).
+        # factor entropies.  A direct quadrature of the two factors lies
+        # within its own error estimate of it; for the spdc kernel the
+        # closed form also agrees to 1e-10 with the entropy the oracle
+        # log-integrals give (a Gaussian kernel's entropy is exact).
         j = make_density(plane, model, Params(p=p, sigma=2.0), TOL,
                          alpha=alpha)
-        h_bits = 0.0
+        h_bits = err_bits = 0.0
         for f, dom, z in ((j.g, Domain.full_line(), j.zg),
                           (j.kernel, j.kernel_domain, j.zk)):
-            v, _ = integrate_1d(lambda t, f=f, z=z: _xlogx(f(t) / z), dom, TOL)
+            v, e = integrate_1d(lambda t, f=f, z=z: _xlogx(f(t) / z), dom, TOL)
             h_bits -= v / math.log(2.0)
-        diff = abs(differential_entropy(j, TOL) - h_bits)
-        assert diff <= 1e-7
+            err_bits += e / math.log(2.0)
+        h = differential_entropy(j, TOL)
+        assert abs(h - h_bits) <= err_bits
         err = negentropy(j, TOL).err_estimate
         if model == "spdc":
-            assert err >= diff
+            z, i = ((4.0 * math.sqrt(math.pi) / 3.0, 2.0 * I_FF_REF)
+                    if plane == "far_field" else (A1_REF, I_NF_REF))
+            h_ref = (math.log2(math.sqrt(math.pi * math.e) * j.g_width)
+                     + math.log2(z) - i / (z * math.log(2.0))
+                     + math.log2(j.k_width))
+            assert abs(h - h_ref) <= min(1e-10, err + 1e-12)
         else:
-            assert err == 0.0 and diff <= 1e-12
+            assert err == 0.0 and abs(h - h_bits) <= 1e-12
 
     def test_far_norm_closed_form(self):
         for p in (0.3, 1.0, 2.5):
@@ -259,11 +271,30 @@ class TestEvenDeclarations:
         assert np.abs(mirrored - marg(x)).max() <= 1e-13 * mirrored.max()
 
     def test_near_field_log_integral(self, monkeypatch):
+        # The log-integrals declare no oscillatory (or even) domain: each
+        # integrates only its head, the first four lobes, on a finite
+        # domain in x = sqrt(y) seeded at the lobes' zeros.
         calls = _oscillatory_calls(monkeypatch)
+        heads = []
+        run = specfun.integrate_1d
+
+        def spy(f, domain, tol, seed_points=()):
+            heads.append((domain, np.asarray(seed_points)))
+            return run(f, domain, tol, seed_points=seed_points)
+
+        monkeypatch.setattr(specfun, "integrate_1d", spy)
         specfun._compute(TOL)
-        (_, dom_ff), (f_nf, dom_nf) = calls    # i_ff (half line), i_nf
-        assert not dom_ff.even
-        assert dom_nf.even and _bitwise_even(f_nf, _mirror_points(dom_nf))
+        assert calls == []
+        (dom_ff, seeds_ff), (dom_nf, seeds_nf) = heads    # i_ff, i_nf
+        assert (dom_ff.kind, dom_ff.a) == (dom_nf.kind, dom_nf.a) == \
+            ("finite", 0.0)
+        assert dom_ff.b == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-15)
+        np.testing.assert_allclose(seeds_ff ** 2, math.pi * np.arange(1, 4),
+                                   rtol=1e-15)
+        ends = np.append(seeds_nf, dom_nf.b) ** 2
+        assert np.all(np.abs(specfun.sint(ends)) < 1e-15)
+        k = np.arange(1, 5)
+        assert np.all((ends > (k - 0.5) * math.pi) & (ends < k * math.pi))
 
 
 class TestMarginalConvolution:

@@ -11,6 +11,11 @@ None of the references below calls the library's quadrature
   rotated factors, a trapezoid entropy and the analytic a/z^4 tail;
 * the near-field origin-slice negentropy comes from the zero-split
   Gauss-Legendre rule;
+* the log-integral shape constants i_ff and i_nf come from a zero-split
+  Gauss-Legendre sum in s = sqrt(y) with the period-averaged analytic tail.
+  The library uses the same kind of split, in y, so this reference is
+  independent in code, and its agreement between 1500 and 6000 zeros checks
+  the tail;
 * delta_B follows from A1, A2 in closed form.
 
 Each test compares the library with its reference, and the literal targets
@@ -309,3 +314,84 @@ class TestNearFieldConditionalSmallP:
         (n_limit, _, _), (n_cond, _, _) = reference
         assert C_SMALL_P == pytest.approx(1.24009, abs=1e-5)
         assert abs((n_limit - n_cond) - C_SMALL_P * 0.01) < 1e-3
+
+
+# --------------------------------------------------------------------------
+# Log-integral shape constants by a zero-split Gauss-Legendre sum.
+#
+# i_ff = int_0^inf sinc(s^2)^2 ln sinc(s^2)^2 ds, and i_nf is the integral
+# of sint(s^2)^2 ln sint(s^2)^2 over the line.  Each is summed over the
+# intervals between consecutive zeros s_k = sqrt(y_k) of the kernel in s
+# (y_k = k pi for sinc, by Newton for sint), by the smoothstep-mapped rule
+# of _slice_integrals, and closed beyond the last zero by the
+# period-averaged tail: the kernel square is amp cos^2(y)/y^2 there
+# (amp = 1 for sinc, 4/pi^2 for sint) and <cos^2 ln cos^2> = 1/2 - ln 2.
+# The library sums periods in y with its own rule behind an adaptive head;
+# this sum calls none of its code.
+
+I_FF_REF = -0.364836201865
+I_NF_REF = -0.691580771301
+
+
+def _half_line_log_integral(plane, n_zeros, order=32):
+    """int_0^inf k2 ln k2 ds of the squared far- or near-field kernel
+    k2 = kernel(s^2)^2, split at its first n_zeros zeros."""
+    if plane == "far_field":
+        y_zeros = math.pi * np.arange(1, n_zeros + 1)
+        amp = 1.0
+
+        def k2_of(y):
+            return (np.sin(y) / y) ** 2
+    else:
+        y_zeros = _sint_zeros(n_zeros)
+        amp = 4.0 / math.pi ** 2
+
+        def k2_of(y):
+            return _sint(y) ** 2
+    edges = np.concatenate([[0.0], np.sqrt(y_zeros)])
+    x, wq = np.polynomial.legendre.leggauss(order)
+    u = 0.5 * (x + 1.0)
+    a, b = edges[:-1, None], edges[1:, None]
+    s = a + (b - a) * (u * u * (3.0 - 2.0 * u))
+    wt = (b - a) * (0.5 * wq) * (6.0 * u * (1.0 - u))
+    k2 = k2_of(s * s)
+    # Beyond y_end, ds = dy / (2 sqrt y) and the period mean of k2 ln k2 is
+    # amp y^-2 (ln(amp)/2 + 1/2 - ln 2 - ln y).
+    y_end = y_zeros[-1]
+    r = y_end ** -1.5
+    mean_log = 0.5 * math.log(amp) + 0.5 - LN2 - math.log(y_end)
+    tail = 0.5 * amp * r * ((2.0 / 3.0) * mean_log - 4.0 / 9.0)
+    return float((wt * k2 * np.log(k2)).sum()) + tail
+
+
+@pytest.fixture(scope="module")
+def log_integrals():
+    """{n_zeros: (i_ff, i_nf)} at order 32."""
+    return {n: (_half_line_log_integral("far_field", n),
+                2.0 * _half_line_log_integral("near_field", n))
+            for n in (1500, 6000)}
+
+
+class TestLogIntegralConstants:
+    def test_zero_count_independent(self, log_integrals):
+        for few, many in zip(log_integrals[1500], log_integrals[6000]):
+            assert abs(few - many) < 1e-12
+
+    def test_reference_literals(self, log_integrals):
+        # Each literal is the reference rounded to twelve places.
+        i_ff, i_nf = log_integrals[6000]
+        assert abs(i_ff - I_FF_REF) <= 5e-13
+        assert abs(i_nf - I_NF_REF) <= 5e-13
+
+    def test_library_at_default_tolerance(self, log_integrals):
+        sc = shape_constants()
+        for name, ref in zip(("i_ff", "i_nf"), log_integrals[6000]):
+            assert abs(getattr(sc, name) - ref) <= 1e-11
+            assert abs(getattr(sc, name) - ref) <= sc.errors[name] <= 1e-10
+
+    @pytest.mark.parametrize("abs_tol", (1e-12, 1e-10, 1e-8, 1e-7))
+    def test_library_within_its_errors(self, log_integrals, abs_tol):
+        sc = shape_constants(QuadTolerance(abs_tol=abs_tol,
+                                           rel_tol=100.0 * abs_tol))
+        for name, ref in zip(("i_ff", "i_nf"), log_integrals[6000]):
+            assert abs(getattr(sc, name) - ref) <= sc.errors[name]
