@@ -18,11 +18,12 @@ sums are extrapolated polynomially in ``K**-0.5`` (``K`` = number of periods),
 which captures the half-integer-power decay of the remainders.  Each block is
 evaluated once, on the 15 nodes of the nested Gauss-Kronrod 7-15 pair (K15
 value, |K15 - G7| error), where the adaptive panels pay 15 + 7 nodes for
-their Gauss pair.  Each tail starts with a 64-block probe: a tail that extra
-(e.g. Gaussian) damping has already killed ends there, provided its block
-amplitude decayed across the probe; every other tail continues into full
-rounds with the same blocks and sums as if there were no probe.  A full-line
-domain declared ``even`` sums its right tail once and takes it as the left.
+their Gauss pair.  Each tail starts with a geometric probe: a tail that extra
+(e.g. Gaussian) damping has killed ends at the first of 64, 128, ... blocks
+that settles it, once its block amplitude has decayed; every other tail
+continues into full rounds with the same blocks and sums as if there were no
+probe.  A full-line domain declared ``even`` sums its right tail once and
+takes it as the left.
 
 The adaptive panels are evaluated in batches: all initial panels in one call
 of the integrand, and on bisection the children of the popped panel together
@@ -102,9 +103,10 @@ class QuadratureError(RuntimeError):
     """
 
     def __init__(self, message, value, err_estimate):
-        super().__init__(f"{message} (partial value {value!r}, err {err_estimate!r})")
-        self.value = value
-        self.err_estimate = err_estimate
+        self.value = float(value)
+        self.err_estimate = float(err_estimate)
+        super().__init__(f"{message} (partial value {self.value!r}, "
+                         f"err {self.err_estimate!r})")
 
 
 @dataclass(frozen=True)
@@ -179,13 +181,12 @@ def _panel_rules(f, panels):
     h = 0.5 * (ab[:, 1] - ab[:, 0])
     x = (0.5 * (ab[:, 0] + ab[:, 1]))[:, None] + h[:, None] * _PANEL_X
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    rules = []
-    for hp, yp in zip(h, y):
-        # One dot per panel: a matrix product may sum in another order.
-        v15 = hp * float(yp[:15] @ _G15_W)
-        v7 = hp * float(yp[15:] @ _G7_W)
-        rules.append((v15, abs(v15 - v7)))
-    return rules
+    # Row-wise sums, not `y[:, :15] @ _G15_W`: BLAS orders a matrix product's
+    # sums by the batch's shape, so a panel's bits would depend on its batch;
+    # a row-wise sum adds each panel's nodes alike in any batch.
+    v15 = h * (y[:, :15] * _G15_W).sum(axis=1)
+    v7 = h * (y[:, 15:] * _G7_W).sum(axis=1)
+    return list(zip(v15.tolist(), np.abs(v15 - v7).tolist()))
 
 
 def _adaptive_finite(f, a, b, tol, seed_points=()):
@@ -195,17 +196,14 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
     Panels are refined one at a time, worst first; their rules are
     evaluated in the look-ahead batches the module docstring describes.
     """
-    edges = {a, b}
-    for p in seed_points:
-        if a < p < b:
-            edges.add(float(p))
-    edges = sorted(edges)
-    # A few initial panels per segment avoid symmetric-cancellation traps.
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pieces.extend(np.linspace(lo, hi, 5))
-    pieces = sorted(set(pieces))
-    panels = list(zip(pieces[:-1], pieces[1:]))
+    edges = np.unique([a, b, *(p for p in seed_points if a < p < b)])
+    # A few initial panels per segment avoid symmetric-cancellation traps:
+    # np.linspace(lo, hi, 5) of every segment at once, with its arithmetic.
+    lo, hi = edges[:-1, None], edges[1:, None]
+    pieces = lo + np.arange(5) * ((hi - lo) / 4)
+    pieces[:, -1] = hi[:, 0]
+    pieces = np.unique(pieces)
+    panels = np.column_stack([pieces[:-1], pieces[1:]]).tolist()
 
     heap = []
     total = 0.0
@@ -305,16 +303,15 @@ def _tail_blocks(f, scale, y_start, tol, side):
     the Gauss-7 sum taken on the 7 embedded nodes.  Partial sums over K
     blocks are then extrapolated in K**-0.5.
 
-    A probe of the first ``n_probe`` = 64 blocks comes first.  It settles the
-    tail on its own if it passes the round's convergence test (still budgeted
-    against a full round of ``n_blocks``) and its block amplitude decays by
-    at least 20x across it; the decay guard keeps a tail whose tiny amplitude
-    is flat from being cut after 64 blocks.  Otherwise the rest of the first
-    round is appended to the probe, so tails that need rounds get the same
-    blocks, sums and extrapolation as without a probe.
+    A geometric probe comes first.  It settles the tail at the first of 64,
+    128, ... blocks (below ``n_blocks``) where the tail passes the round's
+    convergence test, still budgeted against a full round of ``n_blocks``, and
+    its block amplitude has decayed by at least 20x since the first blocks;
+    the decay guard keeps a tail whose tiny amplitude is flat from being cut.
+    A tail that no checkpoint settles gets the same blocks, sums, rounds and
+    extrapolation as without a probe.
     """
     n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
-    n_probe = 64
 
     def rules(y0_first, k):
         """K15 and embedded G7 values of blocks ``k`` counted from ``y0_first``."""
@@ -335,13 +332,16 @@ def _tail_blocks(f, scale, y_start, tol, side):
         return amp_end <= _TAIL_CUTOFF * running or \
             amp_end * n_blocks <= 0.1 * max(tol.abs_tol, tol.rel_tol * running)
 
-    b15, b7 = rules(y_start, np.arange(n_probe))
-    amp_start, amp_end = amp(b15)
-    if amp_end <= 0.05 * amp_start and settled(amp_end, abs(float(b15.sum()))):
-        # Extra damping killed the tail within the probe.
-        return float(np.cumsum(b15)[-1]), float(np.abs(b15 - b7).sum()) + amp_end
-    rest15, rest7 = rules(y_start, np.arange(n_probe, n_blocks))
-    b15, b7 = np.concatenate([b15, rest15]), np.concatenate([b7, rest7])
+    b15, b7 = rules(y_start, np.arange(64))
+    while len(b15) < n_blocks:
+        amp_start, amp_end = amp(b15)
+        if amp_end <= 0.05 * amp_start and settled(amp_end, abs(float(b15.sum()))):
+            # Extra damping killed the tail by this checkpoint.  Truncation:
+            # the n_blocks blocks of the last amplitude that `settled` budgets.
+            return (float(np.cumsum(b15)[-1]),
+                    float(np.abs(b15 - b7).sum()) + amp_end * n_blocks)
+        more15, more7 = rules(y_start, np.arange(len(b15), 2 * len(b15)))
+        b15, b7 = np.concatenate([b15, more15]), np.concatenate([b7, more7])
 
     # Accumulate rounds of blocks until the block amplitude is below the
     # truncation cutoff (integrands with an extra exponential damping need a

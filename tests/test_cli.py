@@ -12,7 +12,7 @@ import spdc_ng
 from spdc_ng import distributions, quadrature, specfun
 from spdc_ng.cli import _report_record, _sweep_values, main
 from spdc_ng.distributions import Params, conditional_of, make_density
-from spdc_ng.moments import moments_1d
+from spdc_ng.moments import conditional_variances, moments_1d
 from spdc_ng.quadrature import QuadTolerance
 from spdc_ng.specfun import shape_constants
 
@@ -193,6 +193,22 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _count_oscillatory_points(monkeypatch):
+    """A one-item list that counts the integrand points of every
+    oscillatory integral from now on."""
+    points = [0]
+    run = quadrature._integrate_oscillatory
+
+    def spy(f, *args, **kwargs):
+        def counted(x):
+            points[0] += np.size(x)
+            return f(x)
+        return run(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_integrate_oscillatory", spy)
+    return points
+
+
 class TestConstructionCounts:
     def test_report_builds_each_density_once(self, monkeypatch):
         counts = _count_calls(monkeypatch, "make_density", "conditional_of",
@@ -233,18 +249,21 @@ class TestConstructionCounts:
         # Every integral of a report is oscillatory.  12 of its 14 fold
         # their left tail onto the right, and tail blocks take 15 points.
         shape_constants()
-        points = [0]
-        run = quadrature._integrate_oscillatory
-
-        def spy(f, *args, **kwargs):
-            def counted(x):
-                points[0] += np.size(x)
-                return f(x)
-            return run(counted, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "_integrate_oscillatory", spy)
+        points = _count_oscillatory_points(monkeypatch)
         _report_record(1.0, 1.0, QuadTolerance())
         assert points[0] == 529088
+
+    @pytest.mark.parametrize("p, expected", ((0.1, 21360), (1.0, 11584),
+                                             (5.0, 11532)))
+    def test_conditional_variances_integrand_points(self, monkeypatch, p,
+                                                    expected):
+        # The pump Gaussian kills the origin slices' tails.  Each tail stops
+        # at the first of 64, 128, ... blocks that settles it; at P = 0.1
+        # and 5 a full round of 4,096 blocks cost 132,720 and 71,052 points.
+        shape_constants()
+        points = _count_oscillatory_points(monkeypatch)
+        conditional_variances(Params(p=p), QuadTolerance())
+        assert points[0] == expected
 
     def test_report_adaptive_core_calls(self, monkeypatch):
         # The cores evaluate their initial panels in one call and bisect in

@@ -72,29 +72,29 @@ class TestOscillatory:
         assert v == pytest.approx(ref, rel=1e-8)
 
 
+def _block_values(f, scale, y0_first, n_blocks, side):
+    """K15 and embedded G7 values of ``n_blocks`` blocks from ``y0_first``."""
+    k = np.arange(n_blocks)[:, None]
+    y0 = y0_first + math.pi * k
+    h = math.pi / 2.0
+    y = y0 + h * (quadrature._K15_X[None, :] + 1.0)
+    x = side * np.sqrt(y / scale)
+    vals = np.asarray(f(x.ravel()), dtype=float).reshape(n_blocks, 15)
+    vals = vals / (2.0 * np.sqrt(scale * y))
+    return (h * (vals * quadrature._K15_W[None, :]).sum(axis=1),
+            h * (vals[:, 1::2] * quadrature._K15_G7_W[None, :]).sum(axis=1))
+
+
 def _all_blocks_tail(f, scale, y_start, tol, side):
     """Reference tail sum without the probe: every round evaluates all
     ``n_blocks`` blocks, as ``_tail_blocks`` did before it probed first."""
     n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
-
-    def block_values(y0_first):
-        """K15 and embedded G7 values of one round of blocks."""
-        k = np.arange(n_blocks)[:, None]
-        y0 = y0_first + math.pi * k
-        h = math.pi / 2.0
-        y = y0 + h * (quadrature._K15_X[None, :] + 1.0)
-        x = side * np.sqrt(y / scale)
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(n_blocks, 15)
-        vals = vals / (2.0 * np.sqrt(scale * y))
-        return (h * (vals * quadrature._K15_W[None, :]).sum(axis=1),
-                h * (vals[:, 1::2] * quadrature._K15_G7_W[None, :]).sum(axis=1))
-
     chunks15 = []
     rule_err = 0.0
     y0 = y_start
     converged = False
     for _round in range(8):
-        b15, b7 = block_values(y0)
+        b15, b7 = _block_values(f, scale, y0, n_blocks, side)
         rule_err += float(np.abs(b15 - b7).sum())
         chunks15.append(b15)
         y0 += math.pi * n_blocks
@@ -175,15 +175,11 @@ class TestTailProbe:
         ref, _ = _all_blocks_tail(damped, scale, 102.4, tol, side)
         assert value > 0 and err >= abs(value - ref)
 
-    # Tails the probe must hand on to the full round.  "flat": every block
+    # A tail the probe must hand on to the full round.  "flat": every block
     # adds c*pi/4, so 64 tiny blocks pass the absolute test, as two tails at
-    # P = 0.0034 would, but show no decay.  "slow": the blocks decay 80x
-    # across the probe, but its last ones times a full round of 4096 still
-    # exceed the absolute budget.
+    # P = 0.0034 would, but show no decay.
     UNSETTLED = {
         "flat": lambda x: 7.3e-16 * np.abs(x) * np.cos(x * x) ** 2,
-        "slow": lambda x: 2e-11 * np.abs(x) * np.cos(x * x) ** 2
-        * np.exp(-x * x / 40.0),
     }
 
     @pytest.mark.parametrize("name", sorted(UNSETTLED))
@@ -194,6 +190,69 @@ class TestTailProbe:
         assert seen[0] > PROBE_POINTS
         assert got == _all_blocks_tail(self.UNSETTLED[name], 1.0,
                                        self.Y_START, tol, +1)
+
+    # Tails that Gaussian damping kills only past the first 64 blocks.  At
+    # 64, "slow" and "sinc2" have decayed more than 20x, but their last
+    # blocks times a full round of 4096 still exceed the absolute budget;
+    # "slower" has decayed less than 20x.
+    DAMPED = {
+        "slow": lambda x: 2e-11 * np.abs(x) * np.cos(x * x) ** 2
+        * np.exp(-x * x / 40.0),
+        "slower": lambda x: 2e-11 * np.abs(x) * np.cos(x * x) ** 2
+        * np.exp(-x * x / 400.0),
+        "sinc2": lambda x: sinc(x * x) ** 2 * np.exp(-x * x / 100.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DAMPED))
+    def test_tail_stops_at_first_settling_checkpoint(self, name):
+        tol = QuadTolerance()
+        f, seen = _counted(self.DAMPED[name])
+        value, err = quadrature._tail_blocks(f, 1.0, self.Y_START, tol, +1)
+        k = _first_settling_checkpoint(self.DAMPED[name], 1.0, self.Y_START,
+                                       tol, +1)
+        assert 64 < k < 4096 and seen[0] == k * 15
+        ref, _ = _all_blocks_tail(self.DAMPED[name], 1.0, self.Y_START, tol,
+                                  +1)
+        assert abs(value - ref) <= err
+        assert abs(value - ref) <= 0.1 * max(tol.abs_tol,
+                                             tol.rel_tol * abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.floats(0.05, 20.0), scale=st.floats(0.1, 30.0),
+           amp_exp=st.integers(-13, 0))
+    def test_early_stop_is_within_err(self, width, scale, amp_exp):
+        # Gaussian damping of width `width` times the tail's start.
+        x0 = math.sqrt(self.Y_START / scale)
+
+        def damped(x):
+            return 10.0 ** amp_exp * np.abs(x) * np.cos(scale * x * x) ** 2 \
+                * np.exp(-(x / (width * x0)) ** 2)
+
+        tol = QuadTolerance()
+        value, err = quadrature._tail_blocks(damped, scale, self.Y_START, tol,
+                                             +1)
+        ref, _ = _all_blocks_tail(damped, scale, self.Y_START, tol, +1)
+        assert abs(value - ref) <= err
+
+
+def _first_settling_checkpoint(f, scale, y_start, tol, side):
+    """The first of 64, 128, ... blocks at which a tail's block amplitude
+    has decayed 20x since its first 8 blocks and passes the round's
+    convergence test; ``n_blocks`` if none before it does."""
+    n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
+    b15, _ = _block_values(f, scale, y_start, n_blocks, side)
+    k = 64
+    while k < n_blocks:
+        amp_start = float(np.abs(b15[:8]).max())
+        amp_end = float(np.abs(b15[k - 8:k]).max())
+        running = abs(float(b15[:k].sum()))
+        if amp_end <= 0.05 * amp_start and (
+                amp_end <= quadrature._TAIL_CUTOFF * running or
+                amp_end * n_blocks <= 0.1 * max(tol.abs_tol,
+                                                tol.rel_tol * running)):
+            return k
+        k *= 2
+    return n_blocks
 
 
 class TestKronrodRule:
@@ -246,8 +305,8 @@ def _panel_rule(f, a, b):
     m = 0.5 * (a + b)
     x = np.concatenate([m + h * quadrature._G15_X, m + h * quadrature._G7_X])
     y = np.asarray(f(x), dtype=float)
-    v15 = h * float(y[:15] @ quadrature._G15_W)
-    v7 = h * float(y[15:] @ quadrature._G7_W)
+    v15 = h * float((y[:15] * quadrature._G15_W).sum())
+    v7 = h * float((y[15:] * quadrature._G7_W).sum())
     return v15, abs(v15 - v7)
 
 
@@ -428,6 +487,12 @@ class TestFailurePaths:
         assert got.value == ref.value
         assert got.err_estimate == ref.err_estimate
         assert str(got) == str(ref)
+
+    def test_error_carries_plain_floats(self):
+        exc = QuadratureError("no convergence", np.float64(2.5),
+                              np.float64(0.004))
+        assert type(exc.value) is float and type(exc.err_estimate) is float
+        assert str(exc) == "no convergence (partial value 2.5, err 0.004)"
 
 
 class TestValidation:
