@@ -36,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .quadrature import Domain, QuadTolerance, integrate_1d
+from .quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
 from .specfun import shape_constants, sinc, sint
 
 __all__ = [
@@ -394,10 +394,13 @@ class _MarginalTable:
         self._zmax = n * step
 
     def c_of(self, z):
+        """C at ``z`` (any shape, 0-d included): the spline within the
+        table's reach, evaluated only there, and the average beyond it."""
         z = np.asarray(z, float)
         inside = np.abs(z) <= self._zmax
-        out = np.where(inside, self._spline(np.where(inside, z, 0.0)),
-                       self.joint.zg * self._k_avg(np.where(inside, 1.0, z)))
+        out = np.empty_like(z)
+        out[inside] = self._spline(z[inside])
+        out[~inside] = self.joint.zg * self._k_avg(z[~inside])
         return np.clip(out, 0.0, None)
 
 
@@ -431,7 +434,7 @@ def marginal_of(joint, tol=None):
         var_v = 2.0 * joint.params.p ** 2 * sc.a2 / sc.a1
     var = 0.5 * (0.5 * joint.g_width ** 2 + var_v)
     extent = 11.0 * math.sqrt(var)
-    z_cap = math.sqrt(2.0) * 2.0 * max(extent, math.sqrt(32.0 * math.pi / osc))
+    z_cap = math.sqrt(2.0) * 2.0 * max(extent, math.sqrt(_CORE_PHASE / osc))
     table = _MarginalTable(joint, z_cap)
 
     def pdf(x):

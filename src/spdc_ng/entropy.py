@@ -125,32 +125,42 @@ def gaussian_entropy_closed(plane, params, tol=None):
     raise ValueError(f"unknown plane {plane!r}")
 
 
-def _negentropy(spec, tol, moment):
+def _negentropy(spec, tol, moment, moment_err):
     """Negentropy of ``spec`` given its second moments: the factor
-    variances (s2_u, s2_v) of a joint, or the variance of a 1-D form."""
+    variances (s2_u, s2_v) of a joint, with the error of s2_v, or the
+    variance of a 1-D form, with its error.  The moment's error enters the
+    estimate through the matched Gaussian's entropy."""
     h_actual, err = _entropy_with_err(spec, tol)
     if isinstance(spec, Joint):
         s2_u, s2_v = moment
         det = s2_u * s2_v   # = var^2 - cov^2 in the original coordinates
         h_gauss = math.log2(2.0 * math.pi * math.e * math.sqrt(det))
+        err += moment_err / (2.0 * s2_v * _LN2)
     else:
         h_gauss = 0.5 * math.log2(2.0 * math.pi * math.e * moment)
+        err += moment_err / (2.0 * moment * _LN2)
     return NegentropyValue(value=h_gauss - h_actual, h_actual=h_actual,
                            h_gaussian=h_gauss, err_estimate=err)
 
 
 def negentropy(spec, tol=None):
     """Negentropy of a joint or 1-D density, with the matched Gaussian
-    sharing the density's own mean and (co)variance.  A joint's
-    ``err_estimate`` is the log-integral shape constant's error through its
-    closed-form entropy (0 for a Gaussian kernel); a 1-D form's is that of
-    its entropy integral."""
+    sharing the density's own mean and (co)variance.
+
+    A joint's ``err_estimate`` is the log-integral shape constant's error
+    through its closed-form entropy (0 for a Gaussian kernel), plus that of
+    its kernel variance s2_v through the matched Gaussian's; a marginal's is
+    its entropy integral's plus that of s2_v through its variance; a
+    conditional's is its entropy integral's alone."""
     tol = tol or spec.tol
     if isinstance(spec, Joint):
-        moment = _factor_variances(spec, tol)
-    else:
-        _, moment = moments_1d(spec, tol)
-    return _negentropy(spec, tol, moment)
+        s2_u, s2_v, err = _factor_variances(spec, tol)
+        return _negentropy(spec, tol, (s2_u, s2_v), err)
+    if spec.form == "marginal" and spec.parent is not None:
+        s2_u, s2_v, err = _factor_variances(spec.parent, tol)
+        return _negentropy(spec, tol, 0.5 * (s2_u + s2_v), 0.5 * err)
+    _, var = moments_1d(spec, tol)
+    return _negentropy(spec, tol, var, 0.0)
 
 
 def _plane_report(plane, params, tol):
@@ -163,11 +173,11 @@ def _plane_report(plane, params, tol):
     joint = make_density(plane, "spdc", params, tol)
     cond = conditional_of(joint, 0.0, tol)
     marg = marginal_of(joint, tol)
-    s2_u, s2_v = _factor_variances(joint, tol)
+    s2_u, s2_v, err_v = _factor_variances(joint, tol)
     _, var_cond = moments_1d(cond, tol)
-    return (_negentropy(joint, tol, (s2_u, s2_v)).value,
-            _negentropy(cond, tol, var_cond).value,
-            _negentropy(marg, tol, 0.5 * (s2_u + s2_v)).value,
+    return (_negentropy(joint, tol, (s2_u, s2_v), err_v).value,
+            _negentropy(cond, tol, var_cond, 0.0).value,
+            _negentropy(marg, tol, 0.5 * (s2_u + s2_v), 0.5 * err_v).value,
             var_cond)
 
 

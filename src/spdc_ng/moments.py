@@ -10,8 +10,12 @@ distributions module), so every covariance entry reduces to the pair of
 Closed forms follow from the kernel shape constants: the sinc^2(.^2) weight
 has second-moment ratio 3/4, giving the far-field variance
 (1/4)(1 + 3/P^2); the sint^2(.^2) weight gives the near-field variance
-(1/4)(sigma^2 + 4 A2 P^2 / A1).  Only E[v^2] is integrated (both, in the
-covariance_numeric oracle); the Gaussian factor has E[u^2] = g_width^2 / 2.
+(1/4)(sigma^2 + 4 A2 P^2 / A1).  Only an spdc kernel's E[v^2] is
+integrated, and only over its oscillatory core, the interval integrate_1d's
+own core would take; the algebraic tails beyond are scale-free, c^(-3/2)
+times a constant of the kernel shape.  The Gaussian factor has
+E[u^2] = g_width^2 / 2 and a Gaussian kernel E[v^2] = k_width^2 / 2.  The
+covariance_numeric oracle integrates both factors whole.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 
 from .distributions import (Density1D, Joint, Params, conditional_of,
                             make_density)
-from .quadrature import Domain, QuadTolerance, integrate_1d
-from .specfun import _brentq, shape_constants
+from .quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
+from .specfun import _A2, _brentq, shape_constants
 
 __all__ = [
     "Cov2",
@@ -96,6 +100,17 @@ class CondVariances:
         return iter((self.var_q_cond, self.var_x_cond))
 
 
+# The unit-scale tail T = int_{sqrt(Y)}^inf x^2 shape(x^2)^2 dx of each spdc
+# kernel beyond the core's split Y = _CORE_PHASE = 32 pi, as M/2 - H: M is
+# the full-line second moment (sqrt(pi) for sinc, A2 for sint) and H the
+# head over [0, sqrt(Y)], summed in mpmath between the kernel's zeros to 1e-16
+# (the far-field tail is also sqrt(pi) (1/2 - S(8 sqrt(2))), S the Fresnel
+# sine integral).  _KERNEL_TAIL_ERR bounds the rounding of both.
+_KERNEL_TAILS = {"far_field": 0.5 * math.sqrt(math.pi) - 0.8363600653726808,
+                 "near_field": 0.5 * _A2 - 0.27525691556757437}
+_KERNEL_TAIL_ERR = 1e-16
+
+
 def _factor_variance(f, dom, z, tol):
     """Variance of f / z by quadrature: f is even on a symmetric domain."""
     m2, _ = integrate_1d(lambda t: t * t * f(t), dom, tol)
@@ -103,18 +118,34 @@ def _factor_variance(f, dom, z, tol):
 
 
 def _factor_variances(joint, tol):
-    """Variances (s2_u, s2_v) of the u and v factors of a joint.
+    """Variances (s2_u, s2_v) of the u and v factors of a joint, and the
+    error estimate of s2_v.
 
-    s2_u = g_width^2 / 2.  s2_v is integrated although it has a closed
-    form: below P = 0.0062 the near-field quadrature lies 5e-6 relative
-    above (A2/A1) 2 P^2, and perfbench/reference.json records that value.
+    s2_u = g_width^2 / 2.  An spdc kernel k(v) = shape(c v^2) has its
+    second moment integrated over the core |v| <= sqrt(_CORE_PHASE / c)
+    only, the interval and tolerance of integrate_1d's oscillatory core, so
+    the core's panels and bits are those of a full-line integral; the two
+    tails beyond are 2 c^(-3/2) T in closed form.  The core is not replaced
+    by the closed form of the whole, (3/4)/c or (A2/A1)/c: below P = 0.0062
+    the near-field core lies 5e-6 relative above it, and
+    perfbench/reference.json records that value.  A Gaussian kernel has
+    s2_v = k_width^2 / 2 exactly.
     """
-    return (0.5 * joint.g_width ** 2,
-            _factor_variance(joint.kernel, joint.kernel_domain, joint.zk, tol))
+    s2_u = 0.5 * joint.g_width ** 2
+    if joint.model == "gaussian":
+        return s2_u, 0.5 * joint.k_width ** 2, 0.0
+    c = joint.kernel_domain.osc_scale
+    xc = math.sqrt(_CORE_PHASE / c)
+    core, core_err = integrate_1d(lambda t: t * t * joint.kernel(t),
+                                  Domain.finite(-xc, xc), tol)
+    tails = 2.0 * c ** -1.5
+    return (s2_u, (core + tails * _KERNEL_TAILS[joint.plane]) / joint.zk,
+            (core_err + tails * _KERNEL_TAIL_ERR) / joint.zk)
 
 
 def covariance_numeric(joint, tol=None):
-    """Covariance matrix of a joint density by quadrature of both factors."""
+    """Covariance matrix of a joint density by quadrature of both factors,
+    tails included: the oracle of the closed forms and of s2_v's tails."""
     if not isinstance(joint, Joint):
         raise ValueError("covariance_numeric expects a joint density")
     tol = tol or joint.tol
@@ -152,7 +183,7 @@ def moments_1d(spec, tol=None):
         raise ValueError("moments_1d expects a 1-D form")
     tol = tol or spec.tol
     if spec.form == "marginal" and spec.parent is not None:
-        s2_u, s2_v = _factor_variances(spec.parent, tol)
+        s2_u, s2_v, _ = _factor_variances(spec.parent, tol)
         return 0.0, 0.5 * (s2_u + s2_v)
     dom = spec.domain
     m1 = 0.0

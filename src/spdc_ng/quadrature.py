@@ -92,6 +92,11 @@ _K15_G7_W = _symmetric(np.array([
 # A tail block below this fraction of the running tail sum ends the tail.
 _TAIL_CUTOFF = 1e-12
 
+# The phase osc_scale * x**2 at which an oscillatory core hands over to the
+# tail blocks: 32 periods of the squared variable.  Callers that take the
+# tail in closed form split there too.
+_CORE_PHASE = 32.0 * math.pi
+
 
 class QuadratureError(RuntimeError):
     """Raised when an integral does not converge within the panel budget.
@@ -398,7 +403,7 @@ def _integrate_oscillatory(f, domain, tol, seed_points=()):
     # The adaptive core must cover both a sensible number of oscillation
     # periods and any smooth (e.g. Gaussian-bulk) structure the caller
     # declared via core_extent; blocks take over beyond it.
-    xc = max(math.sqrt(32.0 * math.pi / scale), domain.core_extent)
+    xc = max(math.sqrt(_CORE_PHASE / scale), domain.core_extent)
     y_start = scale * xc * xc
 
     if domain.kind == "full_line":

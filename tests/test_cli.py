@@ -209,6 +209,25 @@ def _count_oscillatory_points(monkeypatch):
     return points
 
 
+def _count_integrand_points(monkeypatch):
+    """A one-item list that counts the integrand points of every adaptive
+    core and every tail from now on."""
+    points = [0]
+
+    def counting(run):
+        def spy(f, *args, **kwargs):
+            def counted(x):
+                points[0] += np.size(x)
+                return f(x)
+            return run(counted, *args, **kwargs)
+        return spy
+
+    for name in ("_adaptive_finite", "_tail_blocks"):
+        monkeypatch.setattr(quadrature, name,
+                            counting(getattr(quadrature, name)))
+    return points
+
+
 class TestConstructionCounts:
     def test_report_builds_each_density_once(self, monkeypatch):
         counts = _count_calls(monkeypatch, "make_density", "conditional_of",
@@ -246,12 +265,14 @@ class TestConstructionCounts:
         assert sorted(calls) == [("far_field", True), ("near_field", True)]
 
     def test_report_integrand_points(self, monkeypatch):
-        # Every integral of a report is oscillatory.  12 of its 14 fold
-        # their left tail onto the right, and tail blocks take 15 points.
+        # 12 of a report's 14 integrals are oscillatory: they fold their
+        # left tail onto the right, and tail blocks take 15 points.  The two
+        # kernel variances integrate their cores alone; their tails, 8,192
+        # blocks each, cost 245,760 points more (529,088 in all).
         shape_constants()
-        points = _count_oscillatory_points(monkeypatch)
+        points = _count_integrand_points(monkeypatch)
         _report_record(1.0, 1.0, QuadTolerance())
-        assert points[0] == 529088
+        assert points[0] == 283328
 
     @pytest.mark.parametrize("p, expected", ((0.1, 21360), (1.0, 11584),
                                              (5.0, 11532)))

@@ -242,10 +242,10 @@ class TestEvenDeclarations:
     def test_kernel_variance_and_origin_slice(self, monkeypatch, plane, p):
         j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
-        _factor_variances(j, TOL)
+        _factor_variances(j, TOL)      # its core only: not oscillatory
         cond = conditional_of(j, 0.0, TOL)
         negentropy(cond, TOL)          # the slice's entropy and variance
-        assert len(calls) == 4
+        assert len(calls) == 3
         for f, dom in calls:
             assert dom.even and _bitwise_even(f, _mirror_points(dom))
         assert cond.domain.even
@@ -332,6 +332,33 @@ class TestMarginalConvolution:
         assert np.abs(np.concatenate(seen)).max() <= v_c
         assert sum(map(len, seen)) == np.count_nonzero(np.abs(v) <= v_c)
         assert np.array_equal(out.view(np.int64), former.view(np.int64))
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_c_of_evaluates_spline_inside_reach_only(self, monkeypatch,
+                                                     plane):
+        # Lookups beyond the table's reach take the average alone; the
+        # values are those of evaluating both everywhere and choosing, and a
+        # 0-d lookup gives a 0-d result.
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
+        table = _MarginalTable(j, z_cap=10.0)
+        spline, seen = table._spline, []
+
+        def spy(x):
+            seen.append(np.array(x))
+            return spline(x)
+
+        monkeypatch.setattr(table, "_spline", spy)
+        z = (3.0 * table._zmax / 5000.0) * np.arange(-5000, 5001)
+        inside = np.abs(z) <= table._zmax
+        former = np.clip(np.where(inside, spline(np.where(inside, z, 0.0)),
+                                  j.zg * table._k_avg(np.where(inside, 1.0, z))),
+                         0.0, None)
+        out = table.c_of(z)
+        assert np.array_equal(np.concatenate(seen), z[inside])
+        assert np.array_equal(out.view(np.int64), former.view(np.int64))
+        for i in (5000, 9000):       # z = 0, and beyond the reach
+            one = table.c_of(z[i])
+            assert one.shape == () and one == out[i]
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("p", (0.0034, 0.05, 1.0, 20.0, 99.0))

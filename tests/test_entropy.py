@@ -125,29 +125,13 @@ class TestMarginalLimits:
             pytest.approx(n_large, abs=1e-2)
 
 
-S2V_FOUND = ("CHANGES.md FOUND: a joint's err_estimate leaves out the "
-             "quadrature error of its kernel variance s2_v, which is "
-             "1.6e-8 relative high in the near field at every P")
-
-
 class TestJointAtScaleFreeLimit:
     """A joint's negentropy is scale-free: the far-field one is the small-P
     marginal limit n_small and the near-field one the large-P limit n_large
     at every P.  Its err_estimate is that of the log-integral shape constant
-    alone."""
+    plus that of the kernel variance s2_v."""
 
-    @pytest.mark.parametrize("p", (
-        pytest.param(0.0034, marks=pytest.mark.xfail(strict=True, reason=(
-            "CHANGES.md FOUND: a near-field joint's err_estimate does not "
-            "cover its error at P < 0.0061, where the quadrature s2_v of "
-            "moments._factor_variances is 5.0e-6 relative high and "
-            "n_nf_joint sits 3.6e-6 bits above n_large"))),
-        pytest.param(0.01, marks=pytest.mark.xfail(strict=True,
-                                                   reason=S2V_FOUND)),
-        pytest.param(1.0, marks=pytest.mark.xfail(strict=True,
-                                                  reason=S2V_FOUND)),
-        pytest.param(30.0, marks=pytest.mark.xfail(strict=True,
-                                                   reason=S2V_FOUND))))
+    @pytest.mark.parametrize("p", (0.0034, 0.01, 1.0, 30.0))
     def test_estimate_covers_gap_to_limit(self, p):
         n = negentropy(make_density("near_field", "spdc", Params(p=p), TOL),
                        TOL)
@@ -157,9 +141,9 @@ class TestJointAtScaleFreeLimit:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("p", (0.0034, 0.01, 1.0, 30.0))
     def test_gap_to_limit_is_the_kernel_variance(self, plane, p):
-        # The whole gap is half the log2 of the quadrature s2_v over its
-        # closed form: 3.6e-6 bits in the near field below P = 0.0062,
-        # about 1e-8 elsewhere.
+        # The whole gap is half the log2 of s2_v over its closed form:
+        # 3.6e-6 bits in the near field below P = 0.0062, from the core of
+        # s2_v, and roundoff elsewhere.
         params = Params(p=p)
         j = make_density(plane, "spdc", params, TOL)
         n = negentropy(j, TOL)

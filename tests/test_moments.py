@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spdc_ng import moments
+from spdc_ng import moments, quadrature
 from spdc_ng.distributions import Params, make_density
 from spdc_ng.moments import (Cov2, conditional_variances, covariance_closed,
                              covariance_numeric, epr_product,
@@ -13,7 +15,7 @@ from spdc_ng.moments import (Cov2, conditional_variances, covariance_closed,
                              gaussian_conditional_variances,
                              gaussian_epr_product, mancini_boundary,
                              mancini_product, schmidt_number)
-from spdc_ng.quadrature import QuadTolerance
+from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import shape_constants
 
 TOL = QuadTolerance()
@@ -46,6 +48,105 @@ class TestCovariance:
         c = covariance_closed("far_field", Params(p=2.0))
         assert c.var1 == pytest.approx(0.25 * (1 + 3 / 4))
         assert c.cov == pytest.approx(0.25 * (1 - 3 / 4))
+
+
+def _s2_v_closed(joint):
+    """The kernel variance (3/4)/c (sinc) or (A2/A1)/c (sint)."""
+    sc = shape_constants(joint.tol)
+    ratio = sc.sinc_moment_ratio if joint.plane == "far_field" \
+        else sc.a2 / sc.a1
+    return ratio / joint.kernel_domain.osc_scale
+
+
+def _kernel_core(joint, tol):
+    """(value, err) of the second moment of the kernel over the oscillatory
+    core, as a full-line integral's core takes it."""
+    xc = math.sqrt(32.0 * math.pi / joint.kernel_domain.osc_scale)
+    return integrate_1d(lambda t: t * t * joint.kernel(t),
+                        Domain.finite(-xc, xc), tol)
+
+
+S2V_ABS_FOUND = ("CHANGES.md FOUND: where rel_tol times the s2_v core "
+                 "is below abs_tol, the core is held to abs_tol only and its "
+                 "error estimate is 3 to 11 times too small")
+
+
+class TestKernelVariance:
+    """s2_v of an spdc joint: its kernel's second moment over the
+    oscillatory core, plus the scale-free tails in closed form."""
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("p", (0.0034, 1.0, 99.0))
+    def test_core_only_and_bit_identical(self, monkeypatch, plane, p):
+        # One finite integral over [-x_c, x_c], whose value and error are
+        # bit for bit the core of the full-line integral, and no tail blocks.
+        j = make_density(plane, "spdc", Params(p=p), TOL)
+        cores = []
+        run_core = quadrature._adaptive_finite
+
+        def core_spy(*args, **kwargs):
+            cores.append(run_core(*args, **kwargs))
+            return cores[-1]
+
+        monkeypatch.setattr(quadrature, "_adaptive_finite", core_spy)
+        integrate_1d(lambda t: t * t * j.kernel(t), j.kernel_domain, TOL)
+        full_line_core = cores.pop()
+
+        domains, tails = [], []
+        run = moments.integrate_1d
+
+        def spy(g, domain, *args, **kwargs):
+            domains.append(domain)
+            return run(g, domain, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "integrate_1d", spy)
+        monkeypatch.setattr(quadrature, "_tail_blocks",
+                            lambda *args: tails.append(args))
+        _, s2_v, _ = moments._factor_variances(j, TOL)
+        xc = math.sqrt(32.0 * math.pi / j.kernel_domain.osc_scale)
+        assert tails == [] and domains == [Domain.finite(-xc, xc)]
+        assert cores == [full_line_core]
+        assert s2_v == pytest.approx(_s2_v_closed(j), rel=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(plane=st.sampled_from(("far_field", "near_field")),
+           log_p=st.floats(-3.0, 2.0))
+    def test_closed_form_within_estimate(self, plane, log_p):
+        # Wherever the core's stopping test is relative, s2_v is the closed
+        # form to roundoff.  Outside the FOUND region (near field below
+        # P = 0.0034, pinned by the strict xfails below) it lies within its
+        # own error estimate.
+        p = 10.0 ** log_p
+        j = make_density(plane, "spdc", Params(p=p), TOL)
+        _, s2_v, err = moments._factor_variances(j, TOL)
+        closed = _s2_v_closed(j)
+        core, _ = _kernel_core(j, TOL)
+        if TOL.rel_tol * abs(core) > TOL.abs_tol:
+            assert abs(s2_v - closed) <= 1e-12 * closed
+        if plane == "far_field" or p >= 0.0034:
+            assert abs(s2_v - closed) <= err
+
+    ABS_HELD = (("near_field", 0.001, TOL),
+                ("near_field", 0.003, TOL),
+                ("near_field", 0.0034, QuadTolerance(1e-8, 1e-6)),
+                ("near_field", 0.0062, QuadTolerance(1e-8, 1e-6)),
+                ("far_field", 99.0, QuadTolerance(1e-8, 1e-6)))
+
+    @pytest.mark.parametrize("plane, p, tol", ABS_HELD)
+    def test_found_region_is_abs_held(self, plane, p, tol):
+        j = make_density(plane, "spdc", Params(p=p), tol)
+        assert tol.rel_tol * abs(_kernel_core(j, tol)[0]) <= tol.abs_tol
+
+    @pytest.mark.parametrize("plane, p, tol", ABS_HELD)
+    @pytest.mark.xfail(strict=True, reason=S2V_ABS_FOUND)
+    def test_abs_held_core_within_estimate(self, plane, p, tol):
+        # 9.1% high with an estimate of 2.9% (near field, P = 0.001), 2.1%
+        # low with 0.20% (P = 0.003); at the looser tolerance 9.1% high with
+        # 2.9% (near field, P = 0.0034), 8.8% high with 2.5% (P = 0.0062)
+        # and 1.7% high with 0.18% (far field, P = 99).
+        j = make_density(plane, "spdc", Params(p=p), tol)
+        _, s2_v, err = moments._factor_variances(j, tol)
+        assert abs(s2_v - _s2_v_closed(j)) <= err
 
 
 class TestConditionalVariances:

@@ -16,7 +16,10 @@ None of the references below calls the library's quadrature
   The library uses the same kind of split, in y, so this reference is
   independent in code, and its agreement between 1500 and 6000 zeros checks
   the tail;
-* delta_B follows from A1, A2 in closed form.
+* delta_B follows from A1, A2 in closed form;
+* the scale-free second-moment tails of the two kernels beyond the
+  oscillatory core's split y = 32 pi are M/2 - H: M in closed form, H an
+  mpmath sum over the lobes between the kernel's zeros.
 
 Each test compares the library with its reference, and the literal targets
 of ``tests/test_acceptance.py`` with the reference they were taken from.
@@ -32,6 +35,7 @@ from scipy.special import sici
 from spdc_ng.cli import _sweep_values
 from spdc_ng.distributions import Params
 from spdc_ng.entropy import ng_report
+from spdc_ng import moments, quadrature
 from spdc_ng.moments import mancini_boundary
 from spdc_ng.quadrature import QuadTolerance
 from spdc_ng.specfun import shape_constants
@@ -395,3 +399,58 @@ class TestLogIntegralConstants:
                                            rel_tol=100.0 * abs_tol))
         for name, ref in zip(("i_ff", "i_nf"), log_integrals[6000]):
             assert abs(getattr(sc, name) - ref) <= sc.errors[name]
+
+
+# --------------------------------------------------------------------------
+# Tails of the kernels' second moments beyond the oscillatory core's split
+# y = x^2 = 32 pi, at unit scale: T = int_{sqrt(32 pi)}^inf x^2 k(x^2)^2 dx
+# = M/2 - H.  M is the full-line moment in closed form (sqrt(pi) for sinc,
+# A2 for sint) and H the head over [0, sqrt(32 pi)], an mpmath sum of one
+# quadrature per lobe between the kernel's zeros.
+
+@pytest.fixture(scope="module")
+def mp_kernel_tails():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        y_end = 32 * mp.pi
+
+        def head(shape, zeros):
+            edges = [mp.zero] + [mp.sqrt(z) for z in zeros if z < y_end]
+            return mp.quad(lambda x: x * x * shape(x * x) ** 2,
+                           edges + [mp.sqrt(y_end)])
+
+        def sinc(y):
+            return mp.sin(y) / y
+
+        def sint(y):
+            return 1 - 2 / mp.pi * mp.si(y)
+
+        h_ff = head(sinc, [k * mp.pi for k in range(1, 33)])
+        h_nf = head(sint, [mp.findroot(sint, (k - mp.mpf(1) / 2) * mp.pi)
+                           for k in range(1, 34)])
+        ln_silver = mp.log(1 + mp.sqrt(2))
+        a2 = (2 * mp.sqrt(2 * mp.pi) * (mp.pi - mp.sqrt(2) + 2 * ln_silver)
+              / (3 * mp.pi ** 2))
+        t_ff = mp.sqrt(mp.pi) / 2 - h_ff
+        # sin^2 vanishes at 32 pi, so by parts the far-field tail is a
+        # Fresnel integral: sqrt(pi) (1/2 - S(8 sqrt 2)).
+        fresnel = mp.sqrt(mp.pi) * (mp.mpf(1) / 2 - mp.fresnels(8 * mp.sqrt(2)))
+        return {"split": float(y_end), "a2": float(a2),
+                "far_field": float(t_ff), "near_field": float(a2 / 2 - h_nf),
+                "fresnel_gap": float(abs(t_ff - fresnel))}
+
+
+class TestKernelTails:
+    def test_split_is_the_cores(self, mp_kernel_tails):
+        assert quadrature._CORE_PHASE == mp_kernel_tails["split"]
+
+    def test_far_field_closed_form(self, mp_kernel_tails):
+        assert mp_kernel_tails["fresnel_gap"] < 1e-25
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_library_tails(self, mp_kernel_tails, plane):
+        assert abs(moments._KERNEL_TAILS[plane] - mp_kernel_tails[plane]) \
+            <= 1e-15
+        assert moments._KERNEL_TAIL_ERR <= 1e-15
+        assert abs(mp_kernel_tails["a2"] - A2_REF) < 1e-12
