@@ -156,7 +156,11 @@ class Density1D:
     ``domain`` suits integrals over ``pdf``: it carries the oscillation
     hint, the smooth-bulk reach beyond which the tail is pure kernel, and
     whether pdf(-x) == pdf(x).  ``seeds`` are known feature locations in the
-    core; ``fixed`` is a conditional's conditioning value.
+    core; ``fixed`` is a conditional's conditioning value and ``weight`` its
+    slice integral, the joint over the line x2 = fixed divided by the
+    joint's norm, with its error.  ``entropy_tail`` is a table marginal's
+    ``(x_from, F)``: beyond |x| = x_from, F is the antiderivative of
+    pdf ln pdf that vanishes at infinity.
     """
 
     form: str
@@ -165,6 +169,8 @@ class Density1D:
     seeds: tuple = ()
     parent: Joint | None = None
     fixed: float | None = None
+    weight: tuple | None = None
+    entropy_tail: tuple | None = None
 
     def __post_init__(self):
         if self.form not in ("marginal", "conditional_at"):
@@ -323,8 +329,11 @@ class _MarginalTable:
     smoothing: the convolution is larger by the factor
     1 + 10 s^2/z^2 + 105 s^4/z^4 + ..., s^2 = g_width^2/2, so the fallback
     sits about 2% below the spline at the table edge.  The regions they
-    serve carry ~1e-4 of the probability mass.  The table is immutable, so
-    lookups are thread-safe.
+    serve carry ~1e-4 of the probability mass.  Past the reach the marginal
+    is exactly A / xi2^4, so ``entropy_tail`` hands the entropy integral the
+    closed antiderivative of m ln m there, and no tail block beyond the
+    reach is evaluated node by node.  The table is immutable, so lookups
+    are thread-safe.
     """
 
     _PHASE_SMOOTH = 300.0
@@ -393,6 +402,21 @@ class _MarginalTable:
         self._spline = _UniformSpline(z, conv)
         self._zmax = n * step
 
+    def entropy_tail(self):
+        """(x_from, F) of the marginal m(xi2) = norm sqrt(2) C(sqrt(2) xi2):
+        beyond |xi2| = x_from = _zmax / sqrt(2), m is the fallback
+        A / xi2^4, and F(x) = (x m / 3)(4/3 - ln m) is the antiderivative of
+        m ln m there that vanishes at infinity."""
+        rt2 = math.sqrt(2.0)
+        a = self.joint.norm * rt2 * self.joint.zg * self.c_env \
+            / (4.0 * self.osc * self.osc)
+
+        def antiderivative(x):
+            m = a / np.square(np.square(x))
+            return x * m / 3.0 * (4.0 / 3.0 - np.log(m))
+
+        return self._zmax / rt2, antiderivative
+
     def c_of(self, z):
         """C at ``z`` (any shape, 0-d included): the spline within the
         table's reach, evaluated only there, and the average beyond it."""
@@ -404,8 +428,13 @@ class _MarginalTable:
         return np.clip(out, 0.0, None)
 
 
-def marginal_of(joint, tol=None):
-    """The 1-D marginal p(xi2) of a joint density, tabulated and cached."""
+def marginal_of(joint, tol=None, origin=None):
+    """The 1-D marginal p(xi2) of a joint density, tabulated once on a
+    convolution grid and cross-checked against direct quadrature.
+
+    ``origin`` is the joint's origin slice ``conditional_of(joint, 0.0,
+    tol)`` if the caller has it; otherwise the cross-check builds it.
+    """
     if not isinstance(joint, Joint):
         raise ValueError("marginal_of expects a joint density")
     tol = tol or joint.tol
@@ -440,23 +469,29 @@ def marginal_of(joint, tol=None):
     def pdf(x):
         return joint.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
 
-    # Cross-check the table against direct quadrature at a few points; a
+    # Cross-check the table against direct quadrature at two points; a
     # mis-aligned convolution grid would corrupt every downstream entropy.
-    gw = joint.g_width
-    for x2 in (0.0, 0.7 * gw):
-        bulk = -x2 + gw * math.sqrt(2.0) * np.linspace(-10.0, 10.0, 21)
-        direct, derr = integrate_1d(
-            lambda x1, x2=x2: joint(x1, x2),
-            Domain.full_line(osc_scale=joint.kernel_domain.osc_scale / 2.0,
-                             even=x2 == 0.0),
-            tol.scaled(100.0), seed_points=tuple(np.append(bulk, x2)))
+    # At x2 = 0 the direct integral is the origin slice's weight.
+    def check(x2, direct, derr):
         tab = float(pdf(x2))
         if abs(tab - direct) > 1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
             raise RuntimeError("marginal table disagrees with direct quadrature")
+
+    if origin is None:
+        origin = conditional_of(joint, 0.0, tol)
+    s, serr = origin.weight
+    check(0.0, joint.norm * s, joint.norm * serr)
+    gw = joint.g_width
+    x2 = 0.7 * gw
+    bulk = -x2 + gw * math.sqrt(2.0) * np.linspace(-10.0, 10.0, 21)
+    check(x2, *integrate_1d(
+        lambda x1: joint(x1, x2),
+        Domain.full_line(osc_scale=joint.kernel_domain.osc_scale / 2.0),
+        tol.scaled(100.0), seed_points=tuple(np.append(bulk, x2))))
     return Density1D("marginal", pdf,
                      Domain.full_line(osc_scale=osc, core_extent=extent,
                                       even=True),
-                     (0.0,), parent=joint)
+                     (0.0,), parent=joint, entropy_tail=table.entropy_tail())
 
 
 def conditional_of(joint, fixed_value=0.0, tol=None):
@@ -492,7 +527,8 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     def pdf(x):
         return slice_unnorm(x) / s
 
-    return Density1D("conditional_at", pdf, dom, seeds, parent=joint, fixed=c)
+    return Density1D("conditional_at", pdf, dom, seeds, parent=joint, fixed=c,
+                     weight=(s, serr))
 
 
 def gaussian_equivalent(joint, tol=None):

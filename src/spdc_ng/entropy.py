@@ -12,7 +12,9 @@ affine changes of coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .distributions import (Joint, conditional_of, gaussian_equivalent,
                             make_density, marginal_of)
@@ -101,9 +103,26 @@ def _entropy_with_err(spec, tol):
                         if spec.model == "spdc" else (_H_UNIT_GAUSS, 0.0))
         return (_H_UNIT_GAUSS + math.log2(spec.g_width) + h_shape
                 + math.log2(spec.k_width), err)
-    v, err = integrate_1d(lambda x: _xlogx(spec.pdf(x)), spec.domain, tol,
+    dom = spec.domain
+    if spec.entropy_tail is not None:
+        dom = replace(dom, antiderivative=spec.entropy_tail)
+    v, err = integrate_1d(lambda x: _xlogx(spec.pdf(x)), dom, tol,
                           seed_points=spec.seeds)
     return -v / _LN2, err / _LN2
+
+
+def _slice_variance_and_entropy(cond, tol):
+    """(variance, (entropy, err)) of an origin slice, from one integral whose
+    two rows are moments_1d's x^2 p and the entropy's p ln p: each row's
+    value and error are bit for bit those of its own integral, and the pdf
+    is evaluated once per node for both."""
+    def rows(x):
+        p = cond.pdf(x)
+        return np.stack([x * x * p, _xlogx(p)])
+
+    (m2, _), (v, err) = integrate_1d(rows, cond.domain, tol,
+                                     seed_points=cond.seeds)
+    return m2, (-v / _LN2, err / _LN2)
 
 
 def differential_entropy(spec, tol=None):
@@ -125,12 +144,13 @@ def gaussian_entropy_closed(plane, params, tol=None):
     raise ValueError(f"unknown plane {plane!r}")
 
 
-def _negentropy(spec, tol, moment, moment_err):
+def _negentropy(spec, tol, moment, moment_err, entropy=None):
     """Negentropy of ``spec`` given its second moments: the factor
     variances (s2_u, s2_v) of a joint, with the error of s2_v, or the
     variance of a 1-D form, with its error.  The moment's error enters the
-    estimate through the matched Gaussian's entropy."""
-    h_actual, err = _entropy_with_err(spec, tol)
+    estimate through the matched Gaussian's entropy.  ``entropy`` is the
+    density's (entropy, err) in bits if the caller has it already."""
+    h_actual, err = entropy if entropy is not None else _entropy_with_err(spec, tol)
     if isinstance(spec, Joint):
         s2_u, s2_v = moment
         det = s2_u * s2_v   # = var^2 - cov^2 in the original coordinates
@@ -168,15 +188,17 @@ def _plane_report(plane, params, tol):
     the spdc state on one plane.
 
     Each density is built once and each second moment integrated once: the
-    marginal's variance is the mean of its joint's factor variances.
+    marginal's variance is the mean of its joint's factor variances, and
+    its cross-check reads the origin slice's weight.  The slice's variance
+    and entropy share one pass over its nodes.
     """
     joint = make_density(plane, "spdc", params, tol)
     cond = conditional_of(joint, 0.0, tol)
-    marg = marginal_of(joint, tol)
+    marg = marginal_of(joint, tol, origin=cond)
     s2_u, s2_v, err_v = _factor_variances(joint, tol)
-    _, var_cond = moments_1d(cond, tol)
+    var_cond, h_cond = _slice_variance_and_entropy(cond, tol)
     return (_negentropy(joint, tol, (s2_u, s2_v), err_v).value,
-            _negentropy(cond, tol, var_cond, 0.0).value,
+            _negentropy(cond, tol, var_cond, 0.0, h_cond).value,
             _negentropy(marg, tol, 0.5 * (s2_u + s2_v), 0.5 * err_v).value,
             var_cond)
 

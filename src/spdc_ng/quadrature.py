@@ -23,7 +23,16 @@ their Gauss pair.  Each tail starts with a geometric probe: a tail that extra
 that settles it, once its block amplitude has decayed; every other tail
 continues into full rounds with the same blocks and sums as if there were no
 probe.  A full-line domain declared ``even`` sums its right tail once and
-takes it as the left.
+takes it as the left.  A domain that declares a closed antiderivative beyond
+some |x| takes the blocks there from it, with no integrand points and rule
+error 0; the probe, rounds and extrapolation run on those block values as on
+any others.
+
+An integrand may return several rows, shape (rows, n), for one set of nodes
+(say x^2 p and p ln p of one density p).  Each row is integrated by the same
+engine as if alone, so its value and error are bit for bit its own integral's,
+but one call of the integrand serves every row that asks for the same nodes:
+the tail blocks of all rows and any core panel batch they share.
 
 The adaptive panels are evaluated in batches: all initial panels in one call
 of the integrand, and on bisection the children of the popped panel together
@@ -148,6 +157,13 @@ class Domain:
     a tuning option: with an oscillatory hint the right tail is then summed
     once and also taken as the left one, which for an exactly even integrand
     gives the same bits as summing both.  Without the hint it has no effect.
+
+    ``antiderivative``, a pair ``(x_from, F)``, declares that for
+    |x| >= x_from the integrand has the closed antiderivative F (vectorized,
+    and vanishing at infinity).  With an oscillatory hint, tail blocks that
+    start beyond x_from take F(x_hi) - F(x_lo) instead of their 15 nodes,
+    and once a tail reaches them its ``err_estimate`` also covers the gap to
+    the exact tail.  Without the hint it has no effect.
     """
 
     kind: str
@@ -156,6 +172,7 @@ class Domain:
     osc_scale: float | None = None
     core_extent: float = 0.0
     even: bool = False
+    antiderivative: tuple | None = None
 
     def __post_init__(self):
         if self.even and self.kind != "full_line":
@@ -298,7 +315,37 @@ def _extrapolate_to_zero(us, ss):
     return tab[0], abs(tab[0] - prev)
 
 
-def _tail_blocks(f, scale, y_start, tol, side):
+def _block_rules(f, scale, y0_first, k, side, antiderivative=None):
+    """K15 and embedded G7 values of the consecutive tail blocks ``k``,
+    counted from ``y0_first`` (see ``_tail_blocks``), and side * F where the
+    last block ends if that block is in closed form (else None).  Blocks that
+    start beyond the antiderivative's x_from are in closed form,
+    F(x_hi) - F(x_lo), with the same G7 value."""
+    y0 = y0_first + math.pi * k[:, None]
+    n_open = len(k)
+    if antiderivative is not None:
+        x_from, prim = antiderivative
+        n_open = int(np.count_nonzero(np.sqrt(y0[:, 0] / scale) < x_from))
+    h = math.pi / 2.0
+    y = y0[:n_open] + h * (_K15_X[None, :] + 1.0)
+    vals = np.empty_like(y)
+    if n_open:
+        x = side * np.sqrt(y / scale)
+        vals = np.asarray(f(x.ravel()), dtype=float).reshape(y.shape)
+    vals = vals / (2.0 * np.sqrt(scale * y))    # times dx/dy
+    b15 = h * (vals * _K15_W[None, :]).sum(axis=1)
+    b7 = h * (vals[:, 1::2] * _K15_G7_W[None, :]).sum(axis=1)
+    if n_open == len(k):
+        return b15, b7, None
+    # One array of edges: each block ends where the next one starts.
+    edges = y0_first + math.pi * np.append(k[n_open:], k[-1] + 1)
+    big_f = side * prim(side * np.sqrt(edges / scale))
+    closed = np.diff(big_f)
+    return (np.concatenate([b15, closed]), np.concatenate([b7, closed]),
+            float(big_f[-1]))
+
+
+def _tail_blocks(f, scale, y_start, tol, side, antiderivative=None):
     """Integrate f over the tail |x| in [sqrt(y_start/scale), inf), one side.
 
     ``side`` is +1 for the right tail, -1 for the left.  Blocks of length pi
@@ -307,6 +354,13 @@ def _tail_blocks(f, scale, y_start, tol, side):
     block's value is the Kronrod-15 sum and its rule error |K15 - G7|, with
     the Gauss-7 sum taken on the 7 embedded nodes.  Partial sums over K
     blocks are then extrapolated in K**-0.5.
+
+    ``antiderivative`` is a domain's ``(x_from, F)``.  A block that starts at
+    |x| >= x_from takes F(x_hi) - F(x_lo), with rule error 0, for its 15
+    nodes; all such blocks read F at one array of block edges, so their sums
+    telescope.  Once the blocks reach x_from the exact tail is known, their
+    sum minus F where they end (the K15 sum before x_from minus F there),
+    and the ``err_estimate`` adds the returned value's distance from it.
 
     A geometric probe comes first.  It settles the tail at the first of 64,
     128, ... blocks (below ``n_blocks``) where the tail passes the round's
@@ -317,17 +371,18 @@ def _tail_blocks(f, scale, y_start, tol, side):
     extrapolation as without a probe.
     """
     n_blocks = 4096 if tol.abs_tol <= 1e-8 else 1024
+    f_end = [None]    # side * F where the blocks end, once in closed form
 
     def rules(y0_first, k):
-        """K15 and embedded G7 values of blocks ``k`` counted from ``y0_first``."""
-        y0 = y0_first + math.pi * k[:, None]
-        h = math.pi / 2.0
-        y = y0 + h * (_K15_X[None, :] + 1.0)
-        x = side * np.sqrt(y / scale)
-        vals = np.asarray(f(x.ravel()), dtype=float).reshape(y.shape)
-        vals = vals / (2.0 * np.sqrt(scale * y))    # times dx/dy
-        return (h * (vals * _K15_W[None, :]).sum(axis=1),
-                h * (vals[:, 1::2] * _K15_G7_W[None, :]).sum(axis=1))
+        b15, b7, f_end[0] = _block_rules(f, scale, y0_first, k, side,
+                                         antiderivative)
+        return b15, b7
+
+    def result(value, err, partial):
+        """(value, err), err widened to the exact tail once it is known."""
+        if f_end[0] is not None:
+            err += abs(value - (float(partial[-1]) - f_end[0]))
+        return value, err
 
     def amp(b15):
         """Block amplitude at the start and at the end of a run of blocks."""
@@ -343,8 +398,10 @@ def _tail_blocks(f, scale, y_start, tol, side):
         if amp_end <= 0.05 * amp_start and settled(amp_end, abs(float(b15.sum()))):
             # Extra damping killed the tail by this checkpoint.  Truncation:
             # the n_blocks blocks of the last amplitude that `settled` budgets.
-            return (float(np.cumsum(b15)[-1]),
-                    float(np.abs(b15 - b7).sum()) + amp_end * n_blocks)
+            partial = np.cumsum(b15)
+            return result(float(partial[-1]),
+                          float(np.abs(b15 - b7).sum()) + amp_end * n_blocks,
+                          partial)
         more15, more7 = rules(y_start, np.arange(len(b15), 2 * len(b15)))
         b15, b7 = np.concatenate([b15, more15]), np.concatenate([b7, more7])
 
@@ -377,8 +434,7 @@ def _tail_blocks(f, scale, y_start, tol, side):
     if converged:
         # Extra damping killed the tail outright; the plain sum is exact up
         # to the rule error and the (sub-cutoff) truncated remainder.
-        value = float(partial[-1])
-        return value, rule_err + tail_amp
+        return result(float(partial[-1]), rule_err + tail_amp, partial)
 
     ks = []
     k = len(b15)
@@ -392,7 +448,7 @@ def _tail_blocks(f, scale, y_start, tol, side):
     # contribute nothing more; otherwise the extrapolation difference is the
     # working remainder estimate.
     err = 4.0 * extrap_err + rule_err + min(tail_amp, _TAIL_CUTOFF)
-    return float(value), err
+    return result(float(value), err, partial)
 
 
 def _integrate_oscillatory(f, domain, tol, seed_points=()):
@@ -408,30 +464,64 @@ def _integrate_oscillatory(f, domain, tol, seed_points=()):
 
     if domain.kind == "full_line":
         core, core_err = _adaptive_finite(f, -xc, xc, tol, seed_points=seed_points)
-        right, right_err = _tail_blocks(f, scale, y_start, tol, +1)
+        right, right_err = _tail_blocks(f, scale, y_start, tol, +1,
+                                        domain.antiderivative)
         if domain.even:
             left, left_err = right, right_err
         else:
-            left, left_err = _tail_blocks(f, scale, y_start, tol, -1)
+            left, left_err = _tail_blocks(f, scale, y_start, tol, -1,
+                                          domain.antiderivative)
         return core + left + right, core_err + left_err + right_err
     if domain.kind == "half_line":
         if domain.a > xc:
             raise ValueError("half-line origin beyond the oscillatory core is unsupported")
         core, core_err = _adaptive_finite(f, domain.a, xc, tol, seed_points=seed_points)
-        right, right_err = _tail_blocks(f, scale, y_start, tol, +1)
+        right, right_err = _tail_blocks(f, scale, y_start, tol, +1,
+                                        domain.antiderivative)
         return core + right, core_err + right_err
     raise ValueError("oscillatory mode applies to unbounded domains only")
 
 
-def integrate_1d(f, domain, tol=None, seed_points=()):
-    """Integrate vectorized ``f`` over ``domain``.
+class _Rows:
+    """Scalar views of an integrand that returns rows.
 
-    Returns ``(value, err_estimate)``.  Raises :class:`QuadratureError`,
-    carrying the partial value, if the panel budget is exhausted.
-    ``seed_points`` mark known narrow features (finite domains and the core
-    region of oscillatory domains only).
+    An integrand returning shape (rows, n) for n nodes is integrated row by
+    row, each row through the same engine as a scalar integrand alone.  One
+    call of f serves every row: the rows before the last keep each result
+    under the bytes of its nodes, and a later row whose engine asks for the
+    same nodes (the same panels or tail blocks) takes it from there.  The
+    store lives for one ``integrate_1d`` call, and the last row empties it
+    as it goes.  An integrand returning shape (n,) passes through.
     """
-    tol = tol or QuadTolerance()
+
+    def __init__(self, f):
+        self._f = f
+        self.count = None    # rows per call, 0 for a scalar integrand
+        self._kept = {}
+
+    def view(self, r):
+        def row(x):
+            if r == 0:
+                y = np.asarray(self._f(x), dtype=float)
+                if self.count is None:
+                    self.count = len(y) if y.ndim == 2 else 0
+                if not self.count:
+                    return y
+                if self.count > 1:
+                    self._kept[x.tobytes()] = y
+                return y[0]
+            key = x.tobytes()
+            last = r == self.count - 1
+            y = self._kept.pop(key, None) if last else self._kept.get(key)
+            if y is None:
+                y = np.asarray(self._f(x), dtype=float)
+                if not last:
+                    self._kept[key] = y
+            return y[r]
+        return row
+
+
+def _integrate(f, domain, tol, seed_points):
     if domain.kind == "finite":
         return _adaptive_finite(f, domain.a, domain.b, tol, seed_points=seed_points)
     if domain.osc_scale is not None:
@@ -441,3 +531,23 @@ def integrate_1d(f, domain, tol=None, seed_points=()):
     if domain.kind == "half_line":
         return _integrate_mapped_half(f, domain.a, tol)
     raise ValueError(f"unknown domain kind {domain.kind!r}")
+
+
+def integrate_1d(f, domain, tol=None, seed_points=()):
+    """Integrate vectorized ``f`` over ``domain``.
+
+    Returns ``(value, err_estimate)``, or a list of them, one per row, for
+    an ``f`` that returns rows of shape (rows, n): each row's pair is bit
+    for bit that of integrating the row alone, and one call of ``f`` serves
+    every row that asks for the same nodes.  Raises :class:`QuadratureError`, carrying
+    the partial value, if the panel budget is exhausted.  ``seed_points``
+    mark known narrow features (finite domains and the core region of
+    oscillatory domains only).
+    """
+    tol = tol or QuadTolerance()
+    rows = _Rows(f)
+    first = _integrate(rows.view(0), domain, tol, seed_points)
+    if not rows.count:
+        return first
+    return [first] + [_integrate(rows.view(r), domain, tol, seed_points)
+                      for r in range(1, rows.count)]

@@ -247,7 +247,10 @@ class TestConstructionCounts:
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
         _report_record(p, 1.0, FAST_TOL)
-        assert counts == {"integrate_1d": 14}
+        # Per plane: the origin slice's weight, its variance and entropy in
+        # one two-row integral, the 0.7 g_width cross-check, the kernel
+        # variance's core and the marginal entropy.
+        assert counts == {"integrate_1d": 10}
 
     @pytest.mark.parametrize("p", (0.0034, 0.05, 1.0, 20.0, 99.0))
     def test_report_marginal_table_builds(self, monkeypatch, p):
@@ -264,15 +267,42 @@ class TestConstructionCounts:
         _report_record(p, 1.0, QuadTolerance())
         assert sorted(calls) == [("far_field", True), ("near_field", True)]
 
-    def test_report_integrand_points(self, monkeypatch):
-        # 12 of a report's 14 integrals are oscillatory: they fold their
-        # left tail onto the right, and tail blocks take 15 points.  The two
-        # kernel variances integrate their cores alone; their tails, 8,192
-        # blocks each, cost 245,760 points more (529,088 in all).
+    @pytest.mark.parametrize("p, expected", ((0.0034, 656226), (1.0, 35406),
+                                             (99.0, 914702)))
+    def test_report_integrand_points(self, monkeypatch, p, expected):
+        # Oscillatory integrals fold their left tail onto the right, and
+        # tail blocks take 15 points.  The kernel variances integrate their
+        # cores alone.  The marginal entropies take every tail block past
+        # their table's reach from its closed antiderivative (8,192 blocks
+        # each at P = 1 before), and the x2 = 0 cross-check reads the origin
+        # slice's weight.  The slice's two-row integral counts each row's
+        # points here: 904,684 / 283,328 / 1,163,424 points before.
         shape_constants()
         points = _count_integrand_points(monkeypatch)
-        _report_record(1.0, 1.0, QuadTolerance())
-        assert points[0] == 283328
+        _report_record(p, 1.0, QuadTolerance())
+        assert points[0] == expected
+
+    def test_report_integrates_no_loose_origin_leg(self, monkeypatch):
+        # The x2 = 0 cross-check reads the origin slice's weight; only the
+        # x2 = 0.7 g_width leg integrates, at 100x the report's tolerance.
+        shape_constants()
+        tol = QuadTolerance()
+        loose = []
+        run = distributions.integrate_1d
+
+        def spy(f, domain, tol_, **kwargs):
+            if tol_ == tol.scaled(100.0):
+                loose.append(f)
+            return run(f, domain, tol_, **kwargs)
+
+        monkeypatch.setattr(distributions, "integrate_1d", spy)
+        _report_record(1.0, 1.0, tol)
+        x1 = np.array([-1.2, 0.0, 0.3])
+        joints = [make_density(plane, "spdc", Params(p=1.0), tol)
+                  for plane in ("far_field", "near_field")]
+        assert len(loose) == 2
+        for f, j in zip(loose, joints):
+            assert np.array_equal(f(x1), j(x1, 0.7 * j.g_width))
 
     @pytest.mark.parametrize("p, expected", ((0.1, 21360), (1.0, 11584),
                                              (5.0, 11532)))
@@ -289,6 +319,7 @@ class TestConstructionCounts:
     def test_report_adaptive_core_calls(self, monkeypatch):
         # The cores evaluate their initial panels in one call and bisect in
         # look-ahead batches: 1,182 calls of 22 points one panel at a time.
+        # 35 with the integrated x2 = 0 cross-check.
         shape_constants()
         calls = [0]
         run = quadrature._adaptive_finite
@@ -301,7 +332,7 @@ class TestConstructionCounts:
 
         monkeypatch.setattr(quadrature, "_adaptive_finite", spy)
         _report_record(1.0, 1.0, QuadTolerance())
-        assert calls[0] == 35
+        assert calls[0] == 33
 
     def test_cold_shape_constants_integrate_two(self, monkeypatch):
         # a1, a2, b1 and the sinc moment ratio are closed forms.  The

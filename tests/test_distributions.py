@@ -262,7 +262,9 @@ class TestEvenDeclarations:
         j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
         marg = marginal_of(j, TOL)
-        (f0, dom0), (_, dom1) = calls    # cross-checks at x2 = 0 and 0.7
+        # The origin slice's weight, the cross-check at x2 = 0, then the
+        # cross-check at x2 = 0.7 g_width.
+        (f0, dom0), (_, dom1) = calls
         assert dom0.even and _bitwise_even(f0, _mirror_points(dom0))
         assert not dom1.even
         assert marg.domain.even
@@ -295,6 +297,113 @@ class TestEvenDeclarations:
         assert np.all(np.abs(specfun.sint(ends)) < 1e-15)
         k = np.arange(1, 5)
         assert np.all((ends > (k - 0.5) * math.pi) & (ends < k * math.pi))
+
+
+def _entropy_tail_setup(plane, p):
+    """A spdc marginal, its entropy integrand p ln p, and the scale and
+    start of that integral's right tail, as integrate_1d splits it."""
+    marg = marginal_of(make_density(plane, "spdc", Params(p=p), TOL), TOL)
+    dom = marg.domain
+    xc = max(math.sqrt(quadrature._CORE_PHASE / dom.osc_scale), dom.core_extent)
+    return marg, (lambda x: _xlogx(marg.pdf(x))), dom.osc_scale, \
+        dom.osc_scale * xc * xc
+
+
+class TestMarginalEntropyTail:
+    """Past its table's reach a marginal is the fallback A / xi2^4, and its
+    entropy takes the tail blocks there from the closed antiderivative."""
+
+    PLANE_P = [(plane, p) for plane in ("far_field", "near_field")
+               for p in (0.01, 1.0, 10.96, 99.0)]
+
+    @pytest.mark.parametrize("plane, p", PLANE_P)
+    def test_closed_blocks_keep_the_tail(self, monkeypatch, plane, p):
+        marg, f, scale, y_start = _entropy_tail_setup(plane, p)
+        blocks = []
+        rules = quadrature._block_rules
+
+        def spy(f, scale, y0_first, k, *args):
+            blocks.append(len(k))
+            return rules(f, scale, y0_first, k, *args)
+
+        monkeypatch.setattr(quadrature, "_block_rules", spy)
+        ref, _ = quadrature._tail_blocks(f, scale, y_start, TOL, +1)
+        n_ref = sum(blocks)
+        blocks.clear()
+        got, _ = quadrature._tail_blocks(f, scale, y_start, TOL, +1,
+                                         marg.entropy_tail)
+        assert sum(blocks) == n_ref
+        # Closed-form and K15 partial sums differ by roundoff, which the
+        # extrapolation weighs by up to 41 (112 in all): 1.7e-13 at far
+        # field P = 10.96, 2e-14 or less at the others.
+        assert abs(got - ref) <= 5e-13 * abs(ref)
+
+    # Marginals whose entropy tails reach past their table.
+    REACHED = [("far_field", 0.01), ("far_field", 1.0), ("far_field", 10.96),
+               ("near_field", 0.0891), ("near_field", 1.0),
+               ("near_field", 99.0)]
+
+    @pytest.mark.parametrize("plane, p", REACHED)
+    def test_entropy_stops_at_the_reach(self, monkeypatch, plane, p):
+        # No node past the pi-block that holds the reach: in z = sqrt(2) xi2
+        # that block ends below z^2 = zmax^2 + 2 pi / osc_scale.
+        marg = marginal_of(make_density(plane, "spdc", Params(p=p), TOL), TOL)
+        seen = []
+        c_of = _MarginalTable.c_of
+
+        def spy(table, z):
+            seen.append((table._zmax, float(np.abs(z).max())))
+            return c_of(table, z)
+
+        monkeypatch.setattr(_MarginalTable, "c_of", spy)
+        negentropy(marg, TOL)
+        zmax = seen[0][0]
+        z_end = max(z for _, z in seen)
+        assert zmax < z_end    # the straddling block reaches past zmax
+        assert z_end ** 2 < zmax ** 2 + 2.0 * math.pi / marg.domain.osc_scale
+
+    def test_antiderivative_is_the_fallback(self):
+        j = make_density("far_field", "spdc", Params(p=1.0), TOL)
+        marg = marginal_of(j, TOL)
+        x_from, big_f = marg.entropy_tail
+        x = x_from * np.geomspace(1.0 + 1e-9, 50.0, 200)
+        h = 1e-4 * x
+        # F' = m ln m, by central differences, with m the pdf past the reach.
+        slope = (big_f(x + h) - big_f(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(slope, _xlogx(marg.pdf(x)), rtol=1e-7)
+        assert np.all(np.abs(big_f(x)) < np.abs(big_f(x_from)))
+        assert abs(big_f(1e12)) < 1e-30
+
+
+class TestCrossCheck:
+    def test_origin_leg_reads_the_slice_weight(self, monkeypatch):
+        # marginal_of compares the table at x2 = 0 with norm * s of the
+        # origin slice it is given, and integrates only the x2 = 0.7 leg.
+        j = make_density("near_field", "spdc", Params(p=1.0), TOL)
+        origin = conditional_of(j, 0.0, TOL)
+        calls = []
+        run = distributions.integrate_1d
+
+        def spy(f, domain, tol, **kwargs):
+            calls.append(tol)
+            return run(f, domain, tol, **kwargs)
+
+        monkeypatch.setattr(distributions, "integrate_1d", spy)
+        marginal_of(j, TOL, origin=origin)
+        assert calls == [TOL.scaled(100.0)]
+        s, serr = origin.weight
+        assert 0.0 < serr < 1e-9 * s
+        assert marginal_of(j, TOL)(0.0) == pytest.approx(j.norm * s, rel=1e-6)
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_scaled_table_is_caught(self, monkeypatch, plane):
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
+        c_of = _MarginalTable.c_of
+        monkeypatch.setattr(_MarginalTable, "c_of",
+                            lambda table, z: (1.0 + 1e-5) * c_of(table, z))
+        with pytest.raises(RuntimeError,
+                           match="marginal table disagrees with direct quadrature"):
+            marginal_of(j, TOL)
 
 
 class TestMarginalConvolution:

@@ -15,12 +15,14 @@ import spdc_ng
 from spdc_ng.distributions import (Density1D, Params, conditional_of,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
-from spdc_ng.entropy import (conditional_gaussian_mismatch,
+from spdc_ng.entropy import (_entropy_with_err, _slice_variance_and_entropy,
+                             conditional_gaussian_mismatch,
                              differential_entropy, gaussian_entropy_closed,
                              marginal_negentropy_limits, negentropy, ng_report)
 from spdc_ng.moments import (_factor_variances, conditional_variances,
-                             covariance_closed)
-from spdc_ng.quadrature import Domain, QuadTolerance
+                             covariance_closed, moments_1d)
+from spdc_ng.quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
+from spdc_ng.specfun import _xlogx
 
 TOL = QuadTolerance()
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -107,6 +109,53 @@ class TestNgReport:
         r = ng_report(Params(p=p), TOL)
         cv = conditional_variances(Params(p=p), TOL)
         assert (r.var_q_cond, r.var_x_cond) == (cv.var_q_cond, cv.var_x_cond)
+
+
+def _tail_nodes(spec):
+    """``spec`` with a pdf that records its nodes past the oscillatory core,
+    and the list they go to."""
+    xc = math.sqrt(_CORE_PHASE / spec.domain.osc_scale)
+    seen = []
+
+    def pdf(x):
+        seen.append(x[np.abs(x) > xc])
+        return spec.pdf(x)
+
+    return dataclasses.replace(spec, pdf=pdf), seen
+
+
+class TestSharedSlicePass:
+    """A slice's variance and entropy share one pass over its nodes, each
+    bit for bit its own integral, each tail node evaluated once."""
+
+    @pytest.mark.parametrize("p", (0.0034, 0.01, 1.0, 99.0))
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_origin_slice(self, plane, p):
+        cond = conditional_of(make_density(plane, "spdc", Params(p=p), TOL),
+                              0.0, TOL)
+        spied, seen = _tail_nodes(cond)
+        var, entropy = _slice_variance_and_entropy(spied, TOL)
+        assert var == moments_1d(cond, TOL)[1]
+        assert entropy == _entropy_with_err(cond, TOL)
+        tail = np.concatenate(seen)
+        assert len(tail) and len(np.unique(tail)) == len(tail)
+
+    def test_offset_slice_rows(self):
+        cond = conditional_of(make_density("near_field", "spdc", Params(p=1.0),
+                                           TOL), 0.4, TOL)
+        integrands = (lambda x: x * cond.pdf(x), lambda x: x * x * cond.pdf(x),
+                      lambda x: _xlogx(cond.pdf(x)))
+        spied, seen = _tail_nodes(cond)
+
+        def rows(x):
+            p = spied.pdf(x)
+            return np.stack([x * p, x * x * p, _xlogx(p)])
+
+        got = integrate_1d(rows, cond.domain, TOL, seed_points=cond.seeds)
+        assert got == [integrate_1d(f, cond.domain, TOL, seed_points=cond.seeds)
+                       for f in integrands]
+        tail = np.concatenate(seen)
+        assert len(tail) and len(np.unique(tail)) == len(tail)
 
 
 class TestMarginalLimits:

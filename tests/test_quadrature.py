@@ -299,6 +299,119 @@ class TestEvenFolding:
             Domain(kind, a, b, osc_scale=1.0, even=True)
 
 
+class TestClosedFormBlocks:
+    """Tail blocks past a declared antiderivative's x_from, on p ln p of the
+    algebraic tail p = A / x^4, whose antiderivative vanishing at infinity
+    is F(x) = (x p / 3)(4/3 - ln p): the shape of a marginal table's
+    fallback."""
+
+    A, SCALE = 3.7e-3, 0.9
+    EPS = np.finfo(float).eps
+
+    def f(self, x):
+        return _xlogx(self.A / x ** 4)
+
+    def antiderivative(self, x):
+        p = self.A / x ** 4
+        return x * p / 3.0 * (4.0 / 3.0 - np.log(p))
+
+    @pytest.mark.parametrize("side", (+1, -1))
+    @pytest.mark.parametrize("y0", (32.0 * math.pi, 500.0, 1e4, 1e5))
+    def test_blocks_match_k15(self, y0, side):
+        f, seen = _counted(self.f)
+        b15, b7, f_end = quadrature._block_rules(
+            f, self.SCALE, y0, np.arange(8192), side,
+            (1.0, self.antiderivative))
+        assert seen == [0, 0] and np.array_equal(b15, b7)
+        ref, _ = _block_values(self.f, self.SCALE, y0, 8192, side)
+        edges = self.antiderivative(
+            np.sqrt((y0 + math.pi * np.arange(8193)) / self.SCALE))
+        assert f_end == edges[-1]
+        assert abs(b15.sum() - ref.sum()) <= 2e-15 * abs(ref.sum())
+        # Each block is a difference of F at its edges, exact up to their
+        # rounding: up to 1e-11 of the block where blocks are narrow.
+        assert np.all(np.abs(b15 - ref)
+                      <= 4.0 * self.EPS * (np.abs(edges[:-1]) + np.abs(edges[1:])))
+
+    def test_blocks_start_at_x_from(self):
+        y0 = 32.0 * math.pi
+        x_from = math.sqrt((y0 + 10.5 * math.pi) / self.SCALE)
+        f, seen = _counted(self.f)
+        b15, b7, f_end = quadrature._block_rules(
+            f, self.SCALE, y0, np.arange(64), +1, (x_from, self.antiderivative))
+        ref15, ref7 = _block_values(self.f, self.SCALE, y0, 64, +1)
+        assert seen[0] == 11 * 15 and f_end == self.antiderivative(
+            math.sqrt((y0 + 64 * math.pi) / self.SCALE))
+        _, _, none = quadrature._block_rules(
+            self.f, self.SCALE, y0, np.arange(11), +1,
+            (x_from, self.antiderivative))
+        assert none is None
+        assert np.array_equal(b15[:11], ref15[:11])
+        assert np.array_equal(b7[:11], ref7[:11])
+        assert np.array_equal(b15[11:], b7[11:])
+
+    @pytest.mark.parametrize("reach", (0, 40, 3000))
+    def test_err_covers_exact_tail(self, reach):
+        # The exact tail is the K15 sum before x_from minus F there; an
+        # extrapolated tail's err_estimate covers its distance from it.  The
+        # value moves only by roundoff that the extrapolation amplifies.
+        y0, tol = 32.0 * math.pi, QuadTolerance()
+        x_from = math.sqrt((y0 + reach * math.pi) / self.SCALE)
+        got, err = quadrature._tail_blocks(self.f, self.SCALE, y0, tol, +1,
+                                           (x_from, self.antiderivative))
+        ref, ref_err = quadrature._tail_blocks(self.f, self.SCALE, y0, tol, +1)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        head = _block_values(self.f, self.SCALE, y0, reach, +1)[0]
+        exact = math.fsum(head) - self.antiderivative(x_from)
+        assert err >= abs(got - exact) and err >= ref_err
+        assert abs(got - exact) <= err - ref_err + 1e-13 * abs(ref)
+
+    def test_tail_short_of_x_from_is_unchanged(self):
+        # 8,192 blocks end the tail before the closed form would start.
+        y0, tol = 32.0 * math.pi, QuadTolerance()
+        x_from = math.sqrt((y0 + 20000 * math.pi) / self.SCALE)
+        assert quadrature._tail_blocks(
+            self.f, self.SCALE, y0, tol, +1, (x_from, self.antiderivative)) \
+            == quadrature._tail_blocks(self.f, self.SCALE, y0, tol, +1)
+
+
+class TestRows:
+    """An integrand returning rows (rows, n) integrates each row bit for bit
+    as alone, and evaluates each tail node once for all rows."""
+
+    ROWS = {
+        "finite": (Domain.finite(0.0, 2.0),
+                   (lambda x: x * x, lambda x: np.cos(7.0 * x))),
+        "mapped": (Domain.full_line(),
+                   (lambda x: np.exp(-x * x), lambda x: x * x * np.exp(-x * x))),
+        "oscillatory": (Domain.full_line(osc_scale=1.0),
+                        (lambda x: sinc(x * x) ** 2,
+                         lambda x: np.exp(-x * x / 400.0) * sinc(x * x) ** 2,
+                         lambda x: _xlogx(sint(x * x) ** 2))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROWS))
+    def test_each_row_as_alone(self, name):
+        domain, fs = self.ROWS[name]
+        nodes = []
+
+        def rows(x):
+            nodes.append(np.array(x))
+            return np.stack([f(x) for f in fs])
+
+        got = integrate_1d(rows, domain)
+        assert got == [integrate_1d(f, domain) for f in fs]
+        if domain.osc_scale is not None:
+            xc = math.sqrt(32.0 * math.pi / domain.osc_scale)
+            x = np.concatenate(nodes)
+            tail = x[np.abs(x) > xc]
+            assert len(tail) > 0 and len(np.unique(tail)) == len(tail)
+
+    def test_scalar_integrand_returns_one_pair(self):
+        got = integrate_1d(lambda x: x, Domain.finite(0.0, 1.0))
+        assert isinstance(got, tuple) and got[0] == pytest.approx(0.5)
+
+
 def _panel_rule(f, a, b):
     """15-point Gauss value and |G15 - G7| error on [a, b], one call of f."""
     h = 0.5 * (b - a)
