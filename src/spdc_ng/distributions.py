@@ -153,10 +153,10 @@ class Joint:
 class Density1D:
     """A normalized 1-D density: a marginal or a conditional of ``parent``.
 
-    ``domain`` suits integrals over ``pdf``: it carries the oscillation
-    hint, the smooth-bulk reach beyond which the tail is pure kernel, and
-    whether pdf(-x) == pdf(x).  ``seeds`` are known feature locations in the
-    core; ``fixed`` is a conditional's conditioning value and ``weight`` its
+    ``domain`` suits integrals over ``pdf``: it carries the centre, the
+    oscillation hint, the smooth-bulk reach beyond which the tail is pure
+    kernel, and whether pdf is even about the centre.  ``seeds`` are known
+    feature locations; ``fixed`` is a conditional's conditioning value and ``weight`` its
     slice integral, the joint over the line x2 = fixed divided by the
     joint's norm, with its error.  ``entropy_tail`` is a table marginal's
     ``(x_from, F)``: beyond |x| = x_from, F is the antiderivative of
@@ -430,7 +430,8 @@ class _MarginalTable:
 
 def marginal_of(joint, tol=None, origin=None):
     """The 1-D marginal p(xi2) of a joint density, tabulated once on a
-    convolution grid and cross-checked against direct quadrature.
+    convolution grid and cross-checked at xi2 = 0 and 0.7 g_width against
+    the weights of the ``conditional_of`` slices there, taken at ``tol``.
 
     ``origin`` is the joint's origin slice ``conditional_of(joint, 0.0,
     tol)`` if the caller has it; otherwise the cross-check builds it.
@@ -469,25 +470,14 @@ def marginal_of(joint, tol=None, origin=None):
     def pdf(x):
         return joint.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
 
-    # Cross-check the table against direct quadrature at two points; a
-    # mis-aligned convolution grid would corrupt every downstream entropy.
-    # At x2 = 0 the direct integral is the origin slice's weight.
-    def check(x2, direct, derr):
-        tab = float(pdf(x2))
-        if abs(tab - direct) > 1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
+    # Cross-check the table against two slice weights; a mis-aligned
+    # convolution grid would corrupt every downstream entropy.
+    for cond in (origin or conditional_of(joint, 0.0, tol),
+                 conditional_of(joint, 0.7 * joint.g_width, tol)):
+        direct, derr = (joint.norm * w for w in cond.weight)
+        if abs(float(pdf(cond.fixed)) - direct) > \
+                1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
             raise RuntimeError("marginal table disagrees with direct quadrature")
-
-    if origin is None:
-        origin = conditional_of(joint, 0.0, tol)
-    s, serr = origin.weight
-    check(0.0, joint.norm * s, joint.norm * serr)
-    gw = joint.g_width
-    x2 = 0.7 * gw
-    bulk = -x2 + gw * math.sqrt(2.0) * np.linspace(-10.0, 10.0, 21)
-    check(x2, *integrate_1d(
-        lambda x1: joint(x1, x2),
-        Domain.full_line(osc_scale=joint.kernel_domain.osc_scale / 2.0),
-        tol.scaled(100.0), seed_points=tuple(np.append(bulk, x2))))
     return Density1D("marginal", pdf,
                      Domain.full_line(osc_scale=osc, core_extent=extent,
                                       even=True),
@@ -495,16 +485,17 @@ def marginal_of(joint, tol=None, origin=None):
 
 
 def conditional_of(joint, fixed_value=0.0, tol=None):
-    """The normalized slice p(xi1 | xi2 = fixed_value) of a joint density."""
+    """The normalized slice p(xi1 | xi2 = fixed_value) of a joint density.
+
+    Its domain is centred on the kernel's peak and phase, xi1 = fixed_value,
+    at any slice value; only the origin slice is even.
+    """
     if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")
     tol = tol or joint.tol
     c = float(fixed_value)
-    if joint.model == "spdc":
-        # The kernel phase, (P^2/4)(xi1 - c)^2 in the far field.
-        osc = joint.kernel_domain.osc_scale / 2.0
-    else:
-        osc = None
+    # The kernel phase about its peak, (P^2/4)(xi1 - c)^2 in the far field.
+    osc = joint.kernel_domain.osc_scale / 2.0 if joint.model == "spdc" else None
 
     def slice_unnorm(x1):
         x1 = np.asarray(x1, float)
@@ -517,8 +508,7 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     # invisible to the adaptive pass.
     gw = joint.g_width * math.sqrt(2.0)
     seeds = tuple(np.concatenate([-c + gw * np.linspace(-10.0, 10.0, 21), [c]]))
-    # The origin slice g(x1/sqrt(2)) k(x1/sqrt(2)) is even.
-    dom = Domain.full_line(osc_scale=osc, even=c == 0.0)
+    dom = Domain.full_line(osc_scale=osc, even=c == 0.0, centre=c)
     s, serr = integrate_1d(slice_unnorm, dom, tol, seed_points=seeds)
     if not (s > 0) or not np.isfinite(s) or s <= 10.0 * serr:
         raise DegenerateSliceError(

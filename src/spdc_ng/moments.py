@@ -27,8 +27,9 @@ import numpy as np
 
 from .distributions import (Density1D, Joint, Params, conditional_of,
                             make_density)
-from .quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
-from .specfun import _A2, _brentq, shape_constants
+from .quadrature import (_CORE_PHASE, Domain, QuadratureError, QuadTolerance,
+                         integrate_1d)
+from .specfun import _A1, _A2, _SINC_MOMENT_RATIO, _brentq, shape_constants
 
 __all__ = [
     "Cov2",
@@ -125,9 +126,12 @@ def _factor_variances(joint, tol):
     second moment integrated over the core |v| <= sqrt(_CORE_PHASE / c)
     only, the interval and tolerance of integrate_1d's oscillatory core, so
     the core's panels and bits are those of a full-line integral; the two
-    tails beyond are 2 c^(-3/2) T in closed form.  The core is not replaced
-    by the closed form of the whole, (3/4)/c or (A2/A1)/c: below P = 0.0062
-    the near-field core lies 5e-6 relative above it, and
+    tails beyond are 2 c^(-3/2) T in closed form.  A QuadratureError naming
+    the kernel variance is raised where the closed form of the whole,
+    (3/4)/c or (A2/A1)/c, lies outside the error estimate, as it does for a
+    core held to abs_tol alone (near field below P = 0.0034 by default).
+    Otherwise the core is not replaced by it: below P = 0.0062 the
+    near-field core lies 5e-6 relative above it, and
     perfbench/reference.json records that value.  A Gaussian kernel has
     s2_v = k_width^2 / 2 exactly.
     """
@@ -139,8 +143,13 @@ def _factor_variances(joint, tol):
     core, core_err = integrate_1d(lambda t: t * t * joint.kernel(t),
                                   Domain.finite(-xc, xc), tol)
     tails = 2.0 * c ** -1.5
-    return (s2_u, (core + tails * _KERNEL_TAILS[joint.plane]) / joint.zk,
-            (core_err + tails * _KERNEL_TAIL_ERR) / joint.zk)
+    s2_v = (core + tails * _KERNEL_TAILS[joint.plane]) / joint.zk
+    err = (core_err + tails * _KERNEL_TAIL_ERR) / joint.zk
+    ratio = _SINC_MOMENT_RATIO if joint.plane == "far_field" else _A2 / _A1
+    if abs(s2_v - ratio / c) > err:
+        raise QuadratureError("kernel variance s2_v is off its closed form by "
+                              "more than its error estimate", s2_v, err)
+    return s2_u, s2_v, err
 
 
 def covariance_numeric(joint, tol=None):

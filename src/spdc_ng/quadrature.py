@@ -22,11 +22,12 @@ their Gauss pair.  Each tail starts with a geometric probe: a tail that extra
 (e.g. Gaussian) damping has killed ends at the first of 64, 128, ... blocks
 that settles it, once its block amplitude has decayed; every other tail
 continues into full rounds with the same blocks and sums as if there were no
-probe.  A full-line domain declared ``even`` sums its right tail once and
-takes it as the left.  A domain that declares a closed antiderivative beyond
-some |x| takes the blocks there from it, with no integrand points and rule
-error 0; the probe, rounds and extrapolation run on those block values as on
-any others.
+probe.  A full-line domain may declare a ``centre`` x0, and is then
+integrated in x - x0; declared ``even`` (about x0), it sums its right tail
+once and takes it as the left.  A domain that declares a closed
+antiderivative beyond some |x - x0| takes the blocks there from it, with no
+integrand points and rule error 0; the probe, rounds and extrapolation run
+on those block values as on any others.
 
 An integrand may return several rows, shape (rows, n), for one set of nodes
 (say x^2 p and p ln p of one density p).  Each row is integrated by the same
@@ -135,35 +136,30 @@ class QuadTolerance:
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
 
-    def scaled(self, factor):
-        """A tolerance tightened (factor < 1) or loosened by `factor`."""
-        return QuadTolerance(
-            abs_tol=self.abs_tol * factor,
-            rel_tol=min(self.rel_tol * factor, 0.1),
-            max_subdivisions=self.max_subdivisions,
-        )
-
 
 @dataclass(frozen=True)
 class Domain:
     """Integration domain: finite(a, b), half_line(a), or full_line.
 
+    ``centre`` x0, full line only, is where the integrand is centred.  Like
+    the hints below, which describe f(x0 + t) as a function of t = x - x0,
+    it is a property of the integrand: the line is integrated in t.
+
     ``osc_scale``, when set, declares that the integrand oscillates at
-    infinity with phase ``osc_scale * x**2`` (period ``pi`` in the squared
+    infinity with phase ``osc_scale * t**2`` (period ``pi`` in the squared
     variable), switching the unbounded part to block summation.
 
-    ``even``, full line only, declares that the integrand satisfies
-    f(-x) == f(x).  Like ``osc_scale`` it is a property of the integrand, not
-    a tuning option: with an oscillatory hint the right tail is then summed
-    once and also taken as the left one, which for an exactly even integrand
-    gives the same bits as summing both.  Without the hint it has no effect.
+    ``even``, full line only, declares that f(x0 - t) == f(x0 + t).  With an
+    oscillatory hint the right tail is then summed once and also taken as
+    the left one, which for an exactly even integrand gives the same bits
+    as summing both.  Without the hint it has no effect.
 
     ``antiderivative``, a pair ``(x_from, F)``, declares that for
-    |x| >= x_from the integrand has the closed antiderivative F (vectorized,
-    and vanishing at infinity).  With an oscillatory hint, tail blocks that
-    start beyond x_from take F(x_hi) - F(x_lo) instead of their 15 nodes,
-    and once a tail reaches them its ``err_estimate`` also covers the gap to
-    the exact tail.  Without the hint it has no effect.
+    |t| >= x_from the integrand has the closed antiderivative F(t)
+    (vectorized, and vanishing at infinity).  With an oscillatory hint, tail
+    blocks that start beyond x_from take F(t_hi) - F(t_lo) instead of their
+    15 nodes, and once a tail reaches them its ``err_estimate`` also covers
+    the gap to the exact tail.  Without the hint it has no effect.
     """
 
     kind: str
@@ -173,10 +169,11 @@ class Domain:
     core_extent: float = 0.0
     even: bool = False
     antiderivative: tuple | None = None
+    centre: float = 0.0
 
     def __post_init__(self):
-        if self.even and self.kind != "full_line":
-            raise ValueError("only a full-line domain can declare an even integrand")
+        if (self.even or self.centre) and self.kind != "full_line":
+            raise ValueError("only a full-line domain can be even or centred")
 
     @staticmethod
     def finite(a, b):
@@ -191,9 +188,9 @@ class Domain:
         return Domain("half_line", float(a), math.inf, osc_scale, float(core_extent))
 
     @staticmethod
-    def full_line(osc_scale=None, core_extent=0.0, even=False):
+    def full_line(osc_scale=None, core_extent=0.0, even=False, centre=0.0):
         return Domain("full_line", -math.inf, math.inf, osc_scale,
-                      float(core_extent), bool(even))
+                      float(core_extent), bool(even), centre=float(centre))
 
 
 def _panel_rules(f, panels):
@@ -524,6 +521,10 @@ class _Rows:
 def _integrate(f, domain, tol, seed_points):
     if domain.kind == "finite":
         return _adaptive_finite(f, domain.a, domain.b, tol, seed_points=seed_points)
+    x0 = domain.centre
+    if x0:    # skipped at x0 = 0, so uncentred integrals keep their bits
+        f_x, f = f, lambda t: f_x(x0 + t)
+        seed_points = [p - x0 for p in seed_points]
     if domain.osc_scale is not None:
         return _integrate_oscillatory(f, domain, tol, seed_points=seed_points)
     if domain.kind == "full_line":

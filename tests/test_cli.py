@@ -13,7 +13,7 @@ from spdc_ng import distributions, quadrature, specfun
 from spdc_ng.cli import _report_record, _sweep_values, main
 from spdc_ng.distributions import Params, conditional_of, make_density
 from spdc_ng.moments import conditional_variances, moments_1d
-from spdc_ng.quadrature import QuadTolerance
+from spdc_ng.quadrature import QuadratureError, QuadTolerance
 from spdc_ng.specfun import shape_constants
 
 FAST = ["--abs-tol", "1e-8", "--rel-tol", "1e-6"]
@@ -161,6 +161,59 @@ class TestFigure:
                           "negentropy_nf_cond,negentropy_nf_cond_err,error")
 
 
+class TestCentredCrossCheck:
+    """Reports whose cross-check once failed on an uncentred direct
+    integral at x2 = 0.7 g_width, now a kernel-centred slice weight."""
+
+    @pytest.mark.parametrize("log_p", (-0.93, 0.93, 1.63))
+    def test_lattice_report(self, tmp_path, log_p):
+        out = tmp_path / "r.json"
+        assert _run(["report", "--p", repr(10.0 ** log_p),
+                     "--out", str(out)]) == 0
+        # ng_total is n_small + n_large at every P.
+        assert json.loads(out.read_text())["ng_total"] == \
+            pytest.approx(0.3793776, abs=1e-5)
+
+    def test_wide_pump_report(self, tmp_path):
+        # Near field, x2 = 3.5: the kernel peak sits far outside a core
+        # about 0, which only tail blocks saw.
+        out = tmp_path / "r.json"
+        assert _run(["report", "--p", "0.01", "--sigma", "5",
+                     "--out", str(out)]) == 0
+
+    def test_supp_ngm_figure(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert _run(["figure", "supp_ngm", "--threads", "1",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 30
+        assert all(row.split(",")[-1] == "" for row in rows)
+
+
+class TestKernelVarianceFailure:
+    """Where the s2_v core is held to abs_tol alone, its error estimate is
+    too small, and a report fails on the kernel variance."""
+
+    @pytest.mark.parametrize("args", (["--p", "0.001"],
+                                      ["--p", "0.0034"] + FAST))
+    def test_report_names_the_kernel_variance(self, capsys, args):
+        assert _run(["report"] + args) == 2
+        err = capsys.readouterr().err
+        assert "kernel variance" in err and "marginal table" not in err
+
+    def test_thinned_lattice(self):
+        # Every 10th point of P = 10^(k/100), k = -300...200: the near-field
+        # s2_v core is abs-held for k <= -248, and no cross-check fails.
+        shape_constants()
+        raised = {}
+        for k in range(-300, 201, 10):
+            try:
+                _report_record(10.0 ** (k / 100), 1.0, QuadTolerance())
+            except QuadratureError as exc:
+                raised[k] = "kernel variance" in str(exc)
+        assert raised == dict.fromkeys(range(-300, -247, 10), True)
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
         src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
@@ -233,7 +286,9 @@ class TestConstructionCounts:
         counts = _count_calls(monkeypatch, "make_density", "conditional_of",
                               "marginal_of")
         _report_record(1.0, 1.0, FAST_TOL)
-        assert counts == {"make_density": 2, "conditional_of": 2,
+        # Per plane: the origin slice, and the cross-check's slice at
+        # x2 = 0.7 g_width.
+        assert counts == {"make_density": 2, "conditional_of": 4,
                           "marginal_of": 2}
 
     @pytest.mark.parametrize("quantity", ("var_q_norm", "var_x_norm"))
@@ -267,8 +322,8 @@ class TestConstructionCounts:
         _report_record(p, 1.0, QuadTolerance())
         assert sorted(calls) == [("far_field", True), ("near_field", True)]
 
-    @pytest.mark.parametrize("p, expected", ((0.0034, 656226), (1.0, 35406),
-                                             (99.0, 914702)))
+    @pytest.mark.parametrize("p, expected", ((0.0034, 719602), (1.0, 35406),
+                                             (99.0, 965714)))
     def test_report_integrand_points(self, monkeypatch, p, expected):
         # Oscillatory integrals fold their left tail onto the right, and
         # tail blocks take 15 points.  The kernel variances integrate their
@@ -276,33 +331,34 @@ class TestConstructionCounts:
         # their table's reach from its closed antiderivative (8,192 blocks
         # each at P = 1 before), and the x2 = 0 cross-check reads the origin
         # slice's weight.  The slice's two-row integral counts each row's
-        # points here: 904,684 / 283,328 / 1,163,424 points before.
+        # points here: 904,684 / 283,328 / 1,163,424 points before.  The
+        # x2 = 0.7 g_width leg, once an uncentred integral at 100x the
+        # report's tolerance, is a kernel-centred slice at the report's
+        # tolerance: 656,226 / 35,406 / 914,702 points before.
         shape_constants()
         points = _count_integrand_points(monkeypatch)
         _report_record(p, 1.0, QuadTolerance())
         assert points[0] == expected
 
     def test_report_integrates_no_loose_origin_leg(self, monkeypatch):
-        # The x2 = 0 cross-check reads the origin slice's weight; only the
-        # x2 = 0.7 g_width leg integrates, at 100x the report's tolerance.
+        # Every integral of a report runs at the report's tolerance.  The
+        # cross-check reads the origin slice's weight at x2 = 0 and, at
+        # x2 = 0.7 g_width, the weight of the slice conditional_of
+        # integrates there, centred on its kernel.
         shape_constants()
         tol = QuadTolerance()
-        loose = []
-        run = distributions.integrate_1d
+        seen = []
+        run = quadrature._integrate
 
-        def spy(f, domain, tol_, **kwargs):
-            if tol_ == tol.scaled(100.0):
-                loose.append(f)
-            return run(f, domain, tol_, **kwargs)
+        def spy(f, domain, tol_, seed_points):
+            seen.append((domain.centre, tol_))
+            return run(f, domain, tol_, seed_points)
 
-        monkeypatch.setattr(distributions, "integrate_1d", spy)
+        monkeypatch.setattr(quadrature, "_integrate", spy)
         _report_record(1.0, 1.0, tol)
-        x1 = np.array([-1.2, 0.0, 0.3])
-        joints = [make_density(plane, "spdc", Params(p=1.0), tol)
-                  for plane in ("far_field", "near_field")]
-        assert len(loose) == 2
-        for f, j in zip(loose, joints):
-            assert np.array_equal(f(x1), j(x1, 0.7 * j.g_width))
+        assert seen and all(t == tol for _, t in seen)
+        # g_width is 1 on both planes at sigma = 1.
+        assert sorted(c for c, _ in seen if c) == [0.7, 0.7]
 
     @pytest.mark.parametrize("p, expected", ((0.1, 21360), (1.0, 11584),
                                              (5.0, 11532)))

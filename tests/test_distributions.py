@@ -266,7 +266,7 @@ class TestEvenDeclarations:
         # cross-check at x2 = 0.7 g_width.
         (f0, dom0), (_, dom1) = calls
         assert dom0.even and _bitwise_even(f0, _mirror_points(dom0))
-        assert not dom1.even
+        assert not dom1.even and dom1.centre == 0.7 * j.g_width
         assert marg.domain.even
         x = _mirror_points(marg.domain)
         mirrored = marg(-x)
@@ -378,22 +378,44 @@ class TestMarginalEntropyTail:
 class TestCrossCheck:
     def test_origin_leg_reads_the_slice_weight(self, monkeypatch):
         # marginal_of compares the table at x2 = 0 with norm * s of the
-        # origin slice it is given, and integrates only the x2 = 0.7 leg.
+        # origin slice it is given, and at x2 = 0.7 g_width with the weight
+        # of the slice conditional_of integrates there, at the caller's tol.
         j = make_density("near_field", "spdc", Params(p=1.0), TOL)
         origin = conditional_of(j, 0.0, TOL)
         calls = []
         run = distributions.integrate_1d
 
         def spy(f, domain, tol, **kwargs):
-            calls.append(tol)
+            calls.append((domain.centre, tol))
             return run(f, domain, tol, **kwargs)
 
         monkeypatch.setattr(distributions, "integrate_1d", spy)
-        marginal_of(j, TOL, origin=origin)
-        assert calls == [TOL.scaled(100.0)]
+        marg = marginal_of(j, TOL, origin=origin)
+        assert calls == [(0.7 * j.g_width, TOL)]
         s, serr = origin.weight
         assert 0.0 < serr < 1e-9 * s
-        assert marginal_of(j, TOL)(0.0) == pytest.approx(j.norm * s, rel=1e-6)
+        assert marg(0.0) == pytest.approx(j.norm * s, rel=1e-6)
+        # A leg weight off by 1e-5 is caught.
+        cond = distributions.conditional_of
+
+        def off_leg(joint, c, tol):
+            leg = cond(joint, c, tol)
+            s, serr = leg.weight
+            return dataclasses.replace(leg, weight=((1.0 + 1e-5) * s, serr))
+
+        monkeypatch.setattr(distributions, "conditional_of", off_leg)
+        with pytest.raises(RuntimeError,
+                           match="marginal table disagrees with direct quadrature"):
+            marginal_of(j, TOL, origin=origin)
+
+    @pytest.mark.parametrize("c", (0.4, 1.5))
+    def test_offset_slice_weight_matches_the_table(self, c):
+        # Near field at P = 0.0034 the kernel peak at x1 = c lies far
+        # outside an oscillatory core about 0 (about 20 P wide); centred on
+        # the peak, the slice weight is the marginal m(c) / norm.
+        j = make_density("near_field", "spdc", Params(p=0.0034), TOL)
+        s, _ = conditional_of(j, c, TOL).weight
+        assert s == pytest.approx(marginal_of(j, TOL)(c) / j.norm, rel=1e-6)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_scaled_table_is_caught(self, monkeypatch, plane):

@@ -299,6 +299,30 @@ class TestEvenFolding:
             Domain(kind, a, b, osc_scale=1.0, even=True)
 
 
+class TestCentre:
+    """A full line centred on x0 is integrated in t = x - x0."""
+
+    @pytest.mark.parametrize("x0", (-3.5, 40.0))
+    def test_peak_and_seed_about_the_centre(self, x0):
+        # sinc^2((x - x0)^2) plus a narrow bump at x0 + 2 that only its seed
+        # reveals.  At x0 = 40 the peak lies outside a core about 0,
+        # |x| <= sqrt(32 pi).
+        w = 3e-3
+
+        def f(x):
+            return sinc((x - x0) ** 2) ** 2 + np.exp(-((x - x0 - 2.0) / w) ** 2)
+
+        dom = Domain.full_line(osc_scale=1.0, centre=x0)
+        v, err = integrate_1d(f, dom, seed_points=(x0 + 2.0,))
+        assert abs(v - (4.0 / 3.0 + w) * SQRT_PI) <= err
+        unseeded, _ = integrate_1d(f, dom)
+        assert v - unseeded > 0.5 * w * SQRT_PI
+
+    def test_only_a_full_line_is_centred(self):
+        with pytest.raises(ValueError):
+            Domain("half_line", 0.0, math.inf, centre=1.0)
+
+
 class TestClosedFormBlocks:
     """Tail blocks past a declared antiderivative's x_from, on p ln p of the
     algebraic tail p = A / x^4, whose antiderivative vanishing at infinity
