@@ -5,9 +5,10 @@ measures."""
 from .quadrature import Domain, QuadratureError, QuadTolerance, integrate_1d
 from .specfun import (ShapeConstants, matching_alpha, shape_constants, sinc,
                       sine_integral, sint)
-from .distributions import (DegenerateSliceError, Density1D, Joint, Params,
-                            Physical, conditional_of, gaussian_equivalent,
-                            make_density, marginal_of)
+from .distributions import (DegenerateSliceError, Density1D, Joint,
+                            MarginalCrossCheckError, Params, Physical,
+                            conditional_of, gaussian_equivalent, make_density,
+                            marginal_of)
 from .moments import (CondVariances, Cov2, EprResult, conditional_variances,
                       covariance_closed, covariance_numeric, epr_product,
                       find_epr_crossings, gaussian_conditional_variances,
@@ -26,7 +27,8 @@ __all__ = [
     "Domain", "QuadratureError", "QuadTolerance", "integrate_1d",
     "ShapeConstants", "matching_alpha", "shape_constants", "sinc",
     "sine_integral", "sint",
-    "DegenerateSliceError", "Density1D", "Joint", "Params", "Physical",
+    "DegenerateSliceError", "Density1D", "Joint", "MarginalCrossCheckError",
+    "Params", "Physical",
     "conditional_of", "gaussian_equivalent", "make_density", "marginal_of",
     "CondVariances", "Cov2", "EprResult", "conditional_variances",
     "covariance_closed", "covariance_numeric", "epr_product",

@@ -19,7 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .distributions import Params, conditional_of, make_density, marginal_of
+from .distributions import (PLANES, Params, conditional_of, make_density,
+                            marginal_of)
 from .entropy import marginal_negentropy_limits, negentropy, ng_report
 from .gstate import (delta_b, purity, symplectic_spectrum, two_mode_cov,
                      von_neumann_entropy)
@@ -38,6 +39,16 @@ _QUANTITIES = ("epr", "mancini", "ng_total", "ng_cond", "ng_marg",
                "var_q_norm", "var_x_norm", "delta_b")
 # Quantities that accept Gaussian-model comparison columns per alpha.
 _ALPHA_AWARE = {"epr", "mancini", "var_q_norm", "var_x_norm"}
+# Negentropy quantities: the planes whose values and errors they sum, and
+# the form of the spdc density on each.
+_NEGENTROPIES = {
+    "ng_total": (PLANES, "joint"), "ng_cond": (PLANES, "cond"),
+    "ng_marg": (PLANES, "marg"),
+    "negentropy_ff_cond": (("far_field",), "cond"),
+    "negentropy_nf_cond": (("near_field",), "cond"),
+    "negentropy_ff_marg": (("far_field",), "marg"),
+    "negentropy_nf_marg": (("near_field",), "marg"),
+}
 
 
 class _UsageError(Exception):
@@ -58,8 +69,11 @@ def _alpha_tag(alpha):
 
 
 def _negentropy_cell(plane, form, params, tol):
-    j = make_density(plane, "spdc", params, tol)
-    spec = conditional_of(j, 0.0, tol) if form == "cond" else marginal_of(j, tol)
+    spec = make_density(plane, "spdc", params, tol)
+    if form == "cond":
+        spec = conditional_of(spec, 0.0, tol)
+    elif form == "marg":
+        spec = marginal_of(spec, tol)
     n = negentropy(spec, tol)
     return n.value, n.err_estimate
 
@@ -99,23 +113,10 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
             out.append(vx / (p * p))
     elif quantity == "delta_b":
         out += [delta_b(params, tol), 0.0]
-    elif quantity == "ng_total":
-        nf = negentropy(make_density("far_field", "spdc", params, tol), tol)
-        nn = negentropy(make_density("near_field", "spdc", params, tol), tol)
-        out += [nf.value + nn.value, nf.err_estimate + nn.err_estimate]
-    elif quantity == "ng_cond":
-        vf, ef = _negentropy_cell("far_field", "cond", params, tol)
-        vn, en = _negentropy_cell("near_field", "cond", params, tol)
-        out += [vf + vn, ef + en]
-    elif quantity == "ng_marg":
-        vf, ef = _negentropy_cell("far_field", "marg", params, tol)
-        vn, en = _negentropy_cell("near_field", "marg", params, tol)
-        out += [vf + vn, ef + en]
-    elif quantity in ("negentropy_ff_cond", "negentropy_nf_cond",
-                      "negentropy_ff_marg", "negentropy_nf_marg"):
-        plane = "far_field" if "_ff_" in quantity else "near_field"
-        form = "cond" if quantity.endswith("cond") else "marg"
-        out += list(_negentropy_cell(plane, form, params, tol))
+    elif quantity in _NEGENTROPIES:
+        planes, form = _NEGENTROPIES[quantity]
+        cells = [_negentropy_cell(plane, form, params, tol) for plane in planes]
+        out += [sum(v for v, _ in cells), sum(e for _, e in cells)]
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     return out
@@ -140,11 +141,18 @@ def _write_lines(lines, out_path):
             fh.write(text)
 
 
-def _run_sweep_table(columns, grid, worker, threads, out_path):
-    """Evaluate worker(p) over the grid in parallel, write ordered CSV.
+def _run_sweep_table(quantities, alphas, grid, tol, args):
+    """Evaluate the quantities' columns over the grid in parallel, side by
+    side, and write them as ordered CSV.
 
     Returns 3 if any row failed (error sentinel in the last column), else 0.
     """
+    columns = [c for q in quantities for c in _sweep_columns(q, alphas)]
+
+    def worker(p):
+        return [v for q in quantities
+                for v in _sweep_values(q, p, args.sigma, alphas, tol)]
+
     def safe(p):
         try:
             return worker(p), ""
@@ -153,7 +161,7 @@ def _run_sweep_table(columns, grid, worker, threads, out_path):
             msg = msg.replace("\n", " ")
             return [math.nan] * len(columns), msg
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=_threads_from(args)) as pool:
         rows = list(pool.map(safe, grid))
 
     lines = [_HEADER, ",".join(["p"] + columns + ["error"])]
@@ -161,7 +169,7 @@ def _run_sweep_table(columns, grid, worker, threads, out_path):
     for p, (vals, err) in zip(grid, rows):
         failed = failed or bool(err)
         lines.append(",".join([_fmt(p)] + [_fmt(v) for v in vals] + [err]))
-    _write_lines(lines, out_path)
+    _write_lines(lines, args.out)
     return 3 if failed else 0
 
 
@@ -239,9 +247,7 @@ def _cmd_sweep(args):
     if any(a <= 0 for a in alphas):
         raise _UsageError("--alpha values must be positive")
     grid = _grid(args.p_min, args.p_max, args.steps, args.log)
-    cols = _sweep_columns(args.quantity, alphas)
-    worker = lambda p: _sweep_values(args.quantity, p, args.sigma, alphas, tol)
-    return _run_sweep_table(cols, grid, worker, _threads_from(args), args.out)
+    return _run_sweep_table((args.quantity,), alphas, grid, tol, args)
 
 
 # ---------------------------------------------------------------- figure
@@ -249,18 +255,20 @@ def _cmd_sweep(args):
 _FIG_SECTIONS = {"1a": ("far_field", 0.1), "1b": ("near_field", 0.1),
                  "1c": ("far_field", 2.0), "1d": ("near_field", 2.0)}
 _FIG_SWEEPS = {
-    # figure_id: (quantity, alphas, p_min, p_max, steps, log)
-    "1e": ("var_q_norm", (0.45, 0.72, 1.0), 0.01, 3.0, 60, True),
-    "1f": ("var_x_norm", (0.45, 0.72, 1.0), 0.01, 3.0, 60, True),
-    "2": ("epr", (0.45, 0.72, 1.0), 0.1, 5.0, 60, True),
-    "3c": ("ng_cond", (), 0.01, 3.0, 60, True),
-    "3d": ("ng_marg", (), 0.01, 3.0, 60, True),
-    "mancini": ("mancini", (0.45, 0.72, 1.0), 0.01, 3.0, 60, True),
-    "supp_ngm": ("ng_marg", (), 3.0, 12.0, 30, True),
+    # figure_id: (quantities, alphas, p_min, p_max, steps, log)
+    "1e": (("var_q_norm",), (0.45, 0.72, 1.0), 0.01, 3.0, 60, True),
+    "1f": (("var_x_norm",), (0.45, 0.72, 1.0), 0.01, 3.0, 60, True),
+    "2": (("epr",), (0.45, 0.72, 1.0), 0.1, 5.0, 60, True),
+    "3c": (("ng_cond",), (), 0.01, 3.0, 60, True),
+    "3d": (("ng_marg",), (), 0.01, 3.0, 60, True),
+    "mancini": (("mancini",), (0.45, 0.72, 1.0), 0.01, 3.0, 60, True),
+    "supp_ngm": (("ng_marg",), (), 3.0, 12.0, 30, True),
+    "3a": (("negentropy_ff_cond", "negentropy_nf_cond"), (), 0.01, 3.0, 60,
+           True),
+    "3b": (("negentropy_ff_marg", "negentropy_nf_marg"), (), 0.01, 3.0, 60,
+           True),
 }
-_FIG_PAIRS = {"3a": ("negentropy_ff_cond", "negentropy_nf_cond"),
-              "3b": ("negentropy_ff_marg", "negentropy_nf_marg")}
-FIGURE_IDS = tuple(_FIG_SECTIONS) + tuple(_FIG_SWEEPS) + tuple(_FIG_PAIRS)
+FIGURE_IDS = tuple(_FIG_SECTIONS) + tuple(_FIG_SWEEPS)
 
 
 def _figure_section(plane, p, sigma, alphas, tol, out_path):
@@ -292,20 +300,8 @@ def _cmd_figure(args):
         return _figure_section(plane, p, args.sigma, (0.45, 0.72), tol,
                                args.out)
     if fid in _FIG_SWEEPS:
-        quantity, alphas, p_min, p_max, steps, log = _FIG_SWEEPS[fid]
-        grid = _grid(p_min, p_max, steps, log)
-        cols = _sweep_columns(quantity, alphas)
-        worker = lambda p: _sweep_values(quantity, p, args.sigma, alphas, tol)
-        return _run_sweep_table(cols, grid, worker, _threads_from(args),
-                                args.out)
-    if fid in _FIG_PAIRS:
-        q1, q2 = _FIG_PAIRS[fid]
-        grid = _grid(0.01, 3.0, 60, True)
-        cols = _sweep_columns(q1, ()) + _sweep_columns(q2, ())
-        worker = lambda p: (_sweep_values(q1, p, args.sigma, (), tol)
-                            + _sweep_values(q2, p, args.sigma, (), tol))
-        return _run_sweep_table(cols, grid, worker, _threads_from(args),
-                                args.out)
+        quantities, alphas, *grid = _FIG_SWEEPS[fid]
+        return _run_sweep_table(quantities, alphas, _grid(*grid), tol, args)
     raise _UsageError(f"unknown figure id {fid!r}")
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "conditional_of",
     "gaussian_equivalent",
     "DegenerateSliceError",
+    "MarginalCrossCheckError",
 ]
 
 PLANES = ("far_field", "near_field")
@@ -57,6 +58,10 @@ MODELS = ("spdc", "gaussian")
 
 class DegenerateSliceError(ValueError):
     """Conditioning on a value where the marginal vanishes."""
+
+
+class MarginalCrossCheckError(RuntimeError):
+    """A marginal table disagrees with the weight of a slice through it."""
 
 
 @dataclass(frozen=True)
@@ -477,7 +482,8 @@ def marginal_of(joint, tol=None, origin=None):
         direct, derr = (joint.norm * w for w in cond.weight)
         if abs(float(pdf(cond.fixed)) - direct) > \
                 1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
-            raise RuntimeError("marginal table disagrees with direct quadrature")
+            raise MarginalCrossCheckError(
+                "marginal table disagrees with direct quadrature")
     return Density1D("marginal", pdf,
                      Domain.full_line(osc_scale=osc, core_extent=extent,
                                       even=True),

@@ -12,15 +12,13 @@ affine changes of coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .distributions import (Joint, conditional_of, gaussian_equivalent,
                             make_density, marginal_of)
-from .moments import _factor_variances, moments_1d
-from .quadrature import QuadTolerance, integrate_1d
-from .specfun import _xlogx, shape_constants
+from .moments import _LN2, _factor_variances, _pdf_integrals
+from .quadrature import QuadTolerance
+from .specfun import shape_constants
 
 __all__ = [
     "NegentropyValue",
@@ -33,7 +31,6 @@ __all__ = [
     "conditional_gaussian_mismatch",
 ]
 
-_LN2 = math.log(2.0)
 _H_UNIT_GAUSS = 0.5 * math.log2(math.pi * math.e)   # of exp(-s^2) / sqrt(pi)
 
 
@@ -103,26 +100,7 @@ def _entropy_with_err(spec, tol):
                         if spec.model == "spdc" else (_H_UNIT_GAUSS, 0.0))
         return (_H_UNIT_GAUSS + math.log2(spec.g_width) + h_shape
                 + math.log2(spec.k_width), err)
-    dom = spec.domain
-    if spec.entropy_tail is not None:
-        dom = replace(dom, antiderivative=spec.entropy_tail)
-    v, err = integrate_1d(lambda x: _xlogx(spec.pdf(x)), dom, tol,
-                          seed_points=spec.seeds)
-    return -v / _LN2, err / _LN2
-
-
-def _slice_variance_and_entropy(cond, tol):
-    """(variance, (entropy, err)) of an origin slice, from one integral whose
-    two rows are moments_1d's x^2 p and the entropy's p ln p: each row's
-    value and error are bit for bit those of its own integral, and the pdf
-    is evaluated once per node for both."""
-    def rows(x):
-        p = cond.pdf(x)
-        return np.stack([x * x * p, _xlogx(p)])
-
-    (m2, _), (v, err) = integrate_1d(rows, cond.domain, tol,
-                                     seed_points=cond.seeds)
-    return m2, (-v / _LN2, err / _LN2)
+    return _pdf_integrals(spec, tol, moments=False, entropy=True)[2]
 
 
 def differential_entropy(spec, tol=None):
@@ -171,7 +149,8 @@ def negentropy(spec, tol=None):
     through its closed-form entropy (0 for a Gaussian kernel), plus that of
     its kernel variance s2_v through the matched Gaussian's; a marginal's is
     its entropy integral's plus that of s2_v through its variance; a
-    conditional's is its entropy integral's alone."""
+    conditional's is its entropy integral's alone.  A conditional's moments
+    and entropy come from one integral (``moments._pdf_integrals``)."""
     tol = tol or spec.tol
     if isinstance(spec, Joint):
         s2_u, s2_v, err = _factor_variances(spec, tol)
@@ -179,8 +158,8 @@ def negentropy(spec, tol=None):
     if spec.form == "marginal" and spec.parent is not None:
         s2_u, s2_v, err = _factor_variances(spec.parent, tol)
         return _negentropy(spec, tol, 0.5 * (s2_u + s2_v), 0.5 * err)
-    _, var = moments_1d(spec, tol)
-    return _negentropy(spec, tol, var, 0.0)
+    _, var, h = _pdf_integrals(spec, tol, entropy=True)
+    return _negentropy(spec, tol, var, 0.0, h)
 
 
 def _plane_report(plane, params, tol):
@@ -190,13 +169,13 @@ def _plane_report(plane, params, tol):
     Each density is built once and each second moment integrated once: the
     marginal's variance is the mean of its joint's factor variances, and
     its cross-check reads the origin slice's weight.  The slice's variance
-    and entropy share one pass over its nodes.
+    and entropy share one pass over its nodes, as in ``negentropy``.
     """
     joint = make_density(plane, "spdc", params, tol)
     cond = conditional_of(joint, 0.0, tol)
     marg = marginal_of(joint, tol, origin=cond)
     s2_u, s2_v, err_v = _factor_variances(joint, tol)
-    var_cond, h_cond = _slice_variance_and_entropy(cond, tol)
+    _, var_cond, h_cond = _pdf_integrals(cond, tol, entropy=True)
     return (_negentropy(joint, tol, (s2_u, s2_v), err_v).value,
             _negentropy(cond, tol, var_cond, 0.0, h_cond).value,
             _negentropy(marg, tol, 0.5 * (s2_u + s2_v), 0.5 * err_v).value,

@@ -21,7 +21,7 @@ covariance_numeric oracle integrates both factors whole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,8 @@ from .distributions import (Density1D, Joint, Params, conditional_of,
                             make_density)
 from .quadrature import (_CORE_PHASE, Domain, QuadratureError, QuadTolerance,
                          integrate_1d)
-from .specfun import _A1, _A2, _SINC_MOMENT_RATIO, _brentq, shape_constants
+from .specfun import (_A1, _A2, _SINC_MOMENT_RATIO, _brentq, _xlogx,
+                      shape_constants)
 
 __all__ = [
     "Cov2",
@@ -110,6 +111,7 @@ class CondVariances:
 _KERNEL_TAILS = {"far_field": 0.5 * math.sqrt(math.pi) - 0.8363600653726808,
                  "near_field": 0.5 * _A2 - 0.27525691556757437}
 _KERNEL_TAIL_ERR = 1e-16
+_LN2 = math.log(2.0)
 
 
 def _factor_variance(f, dom, z, tol):
@@ -181,12 +183,45 @@ def covariance_closed(plane, params, tol=None):
     return Cov2(var1=var, var2=var, cov=cov)
 
 
+def _pdf_integrals(spec, tol, moments=True, entropy=False):
+    """(mean, variance, (entropy, err) in bits) of a 1-D form, from one
+    integrate_1d call over the rows x p, x^2 p and p ln p of its pdf; a part
+    not asked for is None.  An origin slice is even: its mean is 0 and x p
+    is not integrated.  One row is a plain scalar integrand.  The entropy
+    alone takes a table marginal's ``entropy_tail`` as its closed tail."""
+    odd = moments and spec.fixed != 0.0
+    integrands = [f for f, wanted in ((lambda x, p: x * p, odd),
+                                      (lambda x, p: x * x * p, moments),
+                                      (lambda x, p: _xlogx(p), entropy))
+                  if wanted]
+
+    def rows(x):
+        p = spec.pdf(x)
+        out = [f(x, p) for f in integrands]
+        return out[0] if len(out) == 1 else np.stack(out)
+
+    dom = spec.domain
+    if spec.entropy_tail is not None and not moments:
+        dom = replace(dom, antiderivative=spec.entropy_tail)
+    res = integrate_1d(rows, dom, tol, seed_points=spec.seeds)
+    res = [res] if len(integrands) == 1 else res
+    mean = var = h = None
+    if entropy:
+        v, err = res.pop()
+        h = (-v / _LN2, err / _LN2)
+    if moments:
+        m2, _ = res.pop()
+        mean = res.pop()[0] if odd else 0.0
+        var = m2 - mean * mean
+    return mean, var, h
+
+
 def moments_1d(spec, tol=None):
     """(mean, variance) of a 1-D density.
 
     Marginals reuse their parent joint's factor variances (exact reduction;
-    their mean is zero by symmetry); conditionals integrate their own pdf.
-    An origin slice g(x/sqrt(2)) k(x/sqrt(2)) is even, so its mean is 0.
+    their mean is zero by symmetry); conditionals integrate their own pdf,
+    both moments in one call (``_pdf_integrals``).
     """
     if not isinstance(spec, Density1D):
         raise ValueError("moments_1d expects a 1-D form")
@@ -194,14 +229,8 @@ def moments_1d(spec, tol=None):
     if spec.form == "marginal" and spec.parent is not None:
         s2_u, s2_v, _ = _factor_variances(spec.parent, tol)
         return 0.0, 0.5 * (s2_u + s2_v)
-    dom = spec.domain
-    m1 = 0.0
-    if spec.fixed != 0.0:
-        m1, _ = integrate_1d(lambda x: x * spec.pdf(x), dom, tol,
-                             seed_points=spec.seeds)
-    m2, _ = integrate_1d(lambda x: x * x * spec.pdf(x), dom, tol,
-                         seed_points=spec.seeds)
-    return m1, m2 - m1 * m1
+    mean, var, _ = _pdf_integrals(spec, tol)
+    return mean, var
 
 
 def _conditional_variance(plane, params, tol):

@@ -8,8 +8,9 @@ The integrands this library meets fall in three families:
   kernels and their moments),
 * ``p*log(p)`` entropy integrands, with true interior zeros of ``p``.
 
-Finite intervals use an adaptive Gauss pair (7- and 15-point Gauss-Legendre)
-with bisection of the worst panel.  Unbounded domains use an algebraic map to
+Finite intervals use an adaptive Gauss pair (7- and 15-point Gauss-Legendre,
+21 distinct nodes per panel: the two rules share their midpoint) with
+bisection of the worst panel.  Unbounded domains use an algebraic map to
 a finite interval by default.  For the oscillatory family the map alone is
 hopeless (the number of oscillations up to any useful cutoff exceeds any
 subdivision budget), so :class:`Domain` can carry a quadratic-phase hint: the
@@ -17,8 +18,8 @@ tail is then summed period-by-period in the squared variable and the partial
 sums are extrapolated polynomially in ``K**-0.5`` (``K`` = number of periods),
 which captures the half-integer-power decay of the remainders.  Each block is
 evaluated once, on the 15 nodes of the nested Gauss-Kronrod 7-15 pair (K15
-value, |K15 - G7| error), where the adaptive panels pay 15 + 7 nodes for
-their Gauss pair.  Each tail starts with a geometric probe: a tail that extra
+value, |K15 - G7| error), where the adaptive panels pay 21 nodes for their
+Gauss pair.  Each tail starts with a geometric probe: a tail that extra
 (e.g. Gaussian) damping has killed ends at the first of 64, 128, ... blocks
 that settles it, once its block amplitude has decayed; every other tail
 continues into full rounds with the same blocks and sums as if there were no
@@ -32,8 +33,9 @@ on those block values as on any others.
 An integrand may return several rows, shape (rows, n), for one set of nodes
 (say x^2 p and p ln p of one density p).  Each row is integrated by the same
 engine as if alone, so its value and error are bit for bit its own integral's,
-but one call of the integrand serves every row that asks for the same nodes:
-the tail blocks of all rows and any core panel batch they share.
+but one call of the integrand, kept for the length of the ``integrate_1d``
+call under the bytes of its nodes, serves every row that asks for the same
+nodes: the tail blocks of all rows and any core panel batch they share.
 
 The adaptive panels are evaluated in batches: all initial panels in one call
 of the integrand, and on bisection the children of the popped panel together
@@ -67,7 +69,10 @@ __all__ = [
 
 _G7_X, _G7_W = leggauss(7)
 _G15_X, _G15_W = leggauss(15)
-_PANEL_X = np.concatenate([_G15_X, _G7_X])    # an adaptive panel's 22 nodes
+# An adaptive panel's 21 distinct nodes: Gauss-15's, then Gauss-7's but their
+# midpoint 0, which _PANEL_G7 reads from Gauss-15's node 7.
+_PANEL_X = np.concatenate([_G15_X, _G7_X[:3], _G7_X[4:]])
+_PANEL_G7 = np.array([15, 16, 17, 7, 18, 19, 20])
 
 # Most panels whose children one call of the integrand evaluates during
 # bisection: the popped panel and the next worst ones.  Larger batches save
@@ -204,7 +209,7 @@ def _panel_rules(f, panels):
     # sums by the batch's shape, so a panel's bits would depend on its batch;
     # a row-wise sum adds each panel's nodes alike in any batch.
     v15 = h * (y[:, :15] * _G15_W).sum(axis=1)
-    v7 = h * (y[:, 15:] * _G7_W).sum(axis=1)
+    v7 = h * (y[:, _PANEL_G7] * _G7_W).sum(axis=1)
     return list(zip(v15.tolist(), np.abs(v15 - v7).tolist()))
 
 
@@ -479,45 +484,6 @@ def _integrate_oscillatory(f, domain, tol, seed_points=()):
     raise ValueError("oscillatory mode applies to unbounded domains only")
 
 
-class _Rows:
-    """Scalar views of an integrand that returns rows.
-
-    An integrand returning shape (rows, n) for n nodes is integrated row by
-    row, each row through the same engine as a scalar integrand alone.  One
-    call of f serves every row: the rows before the last keep each result
-    under the bytes of its nodes, and a later row whose engine asks for the
-    same nodes (the same panels or tail blocks) takes it from there.  The
-    store lives for one ``integrate_1d`` call, and the last row empties it
-    as it goes.  An integrand returning shape (n,) passes through.
-    """
-
-    def __init__(self, f):
-        self._f = f
-        self.count = None    # rows per call, 0 for a scalar integrand
-        self._kept = {}
-
-    def view(self, r):
-        def row(x):
-            if r == 0:
-                y = np.asarray(self._f(x), dtype=float)
-                if self.count is None:
-                    self.count = len(y) if y.ndim == 2 else 0
-                if not self.count:
-                    return y
-                if self.count > 1:
-                    self._kept[x.tobytes()] = y
-                return y[0]
-            key = x.tobytes()
-            last = r == self.count - 1
-            y = self._kept.pop(key, None) if last else self._kept.get(key)
-            if y is None:
-                y = np.asarray(self._f(x), dtype=float)
-                if not last:
-                    self._kept[key] = y
-            return y[r]
-        return row
-
-
 def _integrate(f, domain, tol, seed_points):
     if domain.kind == "finite":
         return _adaptive_finite(f, domain.a, domain.b, tol, seed_points=seed_points)
@@ -540,15 +506,28 @@ def integrate_1d(f, domain, tol=None, seed_points=()):
     Returns ``(value, err_estimate)``, or a list of them, one per row, for
     an ``f`` that returns rows of shape (rows, n): each row's pair is bit
     for bit that of integrating the row alone, and one call of ``f`` serves
-    every row that asks for the same nodes.  Raises :class:`QuadratureError`, carrying
-    the partial value, if the panel budget is exhausted.  ``seed_points``
-    mark known narrow features (finite domains and the core region of
-    oscillatory domains only).
+    every row that asks for the same nodes (see the module docstring).
+    Raises :class:`QuadratureError`, carrying the partial value, if the
+    panel budget is exhausted.  ``seed_points`` mark known narrow features
+    (finite domains and the core region of oscillatory domains only).
     """
     tol = tol or QuadTolerance()
-    rows = _Rows(f)
-    first = _integrate(rows.view(0), domain, tol, seed_points)
-    if not rows.count:
+    kept = {}    # the rows of each call of f, under the bytes of its nodes
+
+    def row(r):
+        def view(x):
+            y = kept.get(x.tobytes()) if r else None
+            if y is None:
+                y = np.asarray(f(x), dtype=float)
+                if y.ndim < 2:
+                    return y
+                kept[x.tobytes()] = y
+            return y[r]
+        return view
+
+    first = _integrate(row(0), domain, tol, seed_points)
+    if not kept:
         return first
-    return [first] + [_integrate(rows.view(r), domain, tol, seed_points)
-                      for r in range(1, rows.count)]
+    n_rows = len(next(iter(kept.values())))
+    return [first] + [_integrate(row(r), domain, tol, seed_points)
+                      for r in range(1, n_rows)]

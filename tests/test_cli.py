@@ -29,6 +29,15 @@ class TestExitCodes:
         out = tmp_path / "r.json"
         assert _run(["report", "--p", "1.0", "--out", str(out)] + FAST) == 0
 
+    def test_cross_check_failure_is_named(self, monkeypatch, capsys):
+        c_of = distributions._MarginalTable.c_of
+        monkeypatch.setattr(distributions._MarginalTable, "c_of",
+                            lambda table, z: (1.0 + 1e-5) * c_of(table, z))
+        assert _run(["report", "--p", "1.0"] + FAST) == 2
+        assert capsys.readouterr().err == (
+            "spdc-ng: computation failed: MarginalCrossCheckError: marginal "
+            "table disagrees with direct quadrature\n")
+
     def test_unknown_quantity_is_usage_error(self, capsys):
         assert _run(["sweep", "--quantity", "bogus"]) == 1
         assert "error" in capsys.readouterr().err
@@ -151,14 +160,26 @@ class TestFigure:
         assert float(mid[1]) > float(lines[2].split(",")[1])
 
     def test_pair_sweep_columns(self, tmp_path):
+        # Figure 3a is the two conditional negentropy sweeps on its grid,
+        # joined column-wise.
         out = tmp_path / "p.csv"
-        # Shrink work: pair figures always use the preset grid, so just
-        # check the header appears before any heavy rows via steps preset.
         assert _run(["figure", "3a", "--threads", "8", "--out", str(out)]
                     + FAST) == 0
-        header = out.read_text().splitlines()[1]
-        assert header == ("p,negentropy_ff_cond,negentropy_ff_cond_err,"
-                          "negentropy_nf_cond,negentropy_nf_cond_err,error")
+        lines = out.read_text().splitlines()
+        assert lines[1] == ("p,negentropy_ff_cond,negentropy_ff_cond_err,"
+                            "negentropy_nf_cond,negentropy_nf_cond_err,error")
+        sweeps = []
+        for plane in ("ff", "nf"):
+            path = tmp_path / f"{plane}.csv"
+            assert _run(["sweep", "--quantity", f"negentropy_{plane}_cond",
+                         "--threads", "8", "--out", str(path)] + FAST) == 0
+            sweeps.append(path.read_text().splitlines())
+        ff, nf = sweeps
+        assert len(lines) == len(ff) == len(nf) == 2 + 60
+        for row, a, b in zip(lines[2:], ff[2:], nf[2:]):
+            a, b = a.split(","), b.split(",")
+            assert a[0] == b[0] and a[-1] == b[-1] == ""
+            assert row.split(",") == a[:-1] + b[1:]
 
 
 class TestCentredCrossCheck:
@@ -322,8 +343,8 @@ class TestConstructionCounts:
         _report_record(p, 1.0, QuadTolerance())
         assert sorted(calls) == [("far_field", True), ("near_field", True)]
 
-    @pytest.mark.parametrize("p, expected", ((0.0034, 719602), (1.0, 35406),
-                                             (99.0, 965714)))
+    @pytest.mark.parametrize("p, expected", ((0.0034, 717906), (1.0, 34398),
+                                             (99.0, 964002)))
     def test_report_integrand_points(self, monkeypatch, p, expected):
         # Oscillatory integrals fold their left tail onto the right, and
         # tail blocks take 15 points.  The kernel variances integrate their
@@ -334,7 +355,9 @@ class TestConstructionCounts:
         # points here: 904,684 / 283,328 / 1,163,424 points before.  The
         # x2 = 0.7 g_width leg, once an uncentred integral at 100x the
         # report's tolerance, is a kernel-centred slice at the report's
-        # tolerance: 656,226 / 35,406 / 914,702 points before.
+        # tolerance: 656,226 / 35,406 / 914,702 points before.  Adaptive
+        # panels evaluate their 21 distinct nodes, not 22 with the midpoint
+        # twice: 719,602 / 35,406 / 965,714 points before.
         shape_constants()
         points = _count_integrand_points(monkeypatch)
         _report_record(p, 1.0, QuadTolerance())
@@ -360,13 +383,14 @@ class TestConstructionCounts:
         # g_width is 1 on both planes at sigma = 1.
         assert sorted(c for c, _ in seen if c) == [0.7, 0.7]
 
-    @pytest.mark.parametrize("p, expected", ((0.1, 21360), (1.0, 11584),
-                                             (5.0, 11532)))
+    @pytest.mark.parametrize("p, expected", ((0.1, 21000), (1.0, 11232),
+                                             (5.0, 11226)))
     def test_conditional_variances_integrand_points(self, monkeypatch, p,
                                                     expected):
         # The pump Gaussian kills the origin slices' tails.  Each tail stops
         # at the first of 64, 128, ... blocks that settles it; at P = 0.1
         # and 5 a full round of 4,096 blocks cost 132,720 and 71,052 points.
+        # 21,360 / 11,584 / 11,532 points with 22-node panels.
         shape_constants()
         points = _count_oscillatory_points(monkeypatch)
         conditional_variances(Params(p=p), QuadTolerance())
@@ -374,7 +398,7 @@ class TestConstructionCounts:
 
     def test_report_adaptive_core_calls(self, monkeypatch):
         # The cores evaluate their initial panels in one call and bisect in
-        # look-ahead batches: 1,182 calls of 22 points one panel at a time.
+        # look-ahead batches: 1,182 calls of one panel at a time.
         # 35 with the integrated x2 = 0 cross-check.
         shape_constants()
         calls = [0]
@@ -403,10 +427,11 @@ class TestConstructionCounts:
     @pytest.mark.parametrize("quantity, calls", (("epr", 4),
                                                  ("var_q_norm", 2),
                                                  ("var_x_norm", 2),
-                                                 ("ng_cond", 6),
+                                                 ("ng_cond", 4),
                                                  ("ng_total", 2),
                                                  ("ng_marg", 8)))
     def test_row_integral_count(self, monkeypatch, quantity, calls):
+        # A conditional's weight, then its moments and entropy in one call.
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
         _sweep_values(quantity, 1.0, 1.0, (0.72,), FAST_TOL)
@@ -431,4 +456,5 @@ class TestConstructionCounts:
         mean, _ = moments_1d(origin, FAST_TOL)
         assert mean == 0.0 and counts == {"integrate_1d": 1}
         mean, _ = moments_1d(off, FAST_TOL)
-        assert abs(mean) > 1e-3 and counts == {"integrate_1d": 3}
+        # The offset slice's mean and second moment share one call.
+        assert abs(mean) > 1e-3 and counts == {"integrate_1d": 2}

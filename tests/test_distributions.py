@@ -14,6 +14,7 @@ import pytest
 import spdc_ng
 from spdc_ng import quadrature, specfun
 from spdc_ng import distributions
+from spdc_ng import MarginalCrossCheckError
 from spdc_ng.distributions import (DegenerateSliceError, Density1D, Joint,
                                    Params, Physical, _convolve_valid,
                                    _MarginalTable, _next_fast_len,
@@ -404,7 +405,7 @@ class TestCrossCheck:
             return dataclasses.replace(leg, weight=((1.0 + 1e-5) * s, serr))
 
         monkeypatch.setattr(distributions, "conditional_of", off_leg)
-        with pytest.raises(RuntimeError,
+        with pytest.raises(MarginalCrossCheckError,
                            match="marginal table disagrees with direct quadrature"):
             marginal_of(j, TOL, origin=origin)
 
@@ -423,7 +424,7 @@ class TestCrossCheck:
         c_of = _MarginalTable.c_of
         monkeypatch.setattr(_MarginalTable, "c_of",
                             lambda table, z: (1.0 + 1e-5) * c_of(table, z))
-        with pytest.raises(RuntimeError,
+        with pytest.raises(MarginalCrossCheckError,
                            match="marginal table disagrees with direct quadrature"):
             marginal_of(j, TOL)
 

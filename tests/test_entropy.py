@@ -15,12 +15,13 @@ import spdc_ng
 from spdc_ng.distributions import (Density1D, Params, conditional_of,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
-from spdc_ng.entropy import (_entropy_with_err, _slice_variance_and_entropy,
-                             conditional_gaussian_mismatch,
+from spdc_ng import moments
+from spdc_ng.entropy import (_entropy_with_err, conditional_gaussian_mismatch,
                              differential_entropy, gaussian_entropy_closed,
                              marginal_negentropy_limits, negentropy, ng_report)
-from spdc_ng.moments import (_factor_variances, conditional_variances,
-                             covariance_closed, moments_1d)
+from spdc_ng.moments import (_LN2, _factor_variances, _pdf_integrals,
+                             conditional_variances, covariance_closed,
+                             moments_1d)
 from spdc_ng.quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx
 
@@ -112,16 +113,30 @@ class TestNgReport:
 
 
 def _tail_nodes(spec):
-    """``spec`` with a pdf that records its nodes past the oscillatory core,
-    and the list they go to."""
-    xc = math.sqrt(_CORE_PHASE / spec.domain.osc_scale)
+    """``spec`` with a pdf that records its nodes past the oscillatory core
+    about the domain's centre, and the list they go to."""
+    dom = spec.domain
+    xc = math.sqrt(_CORE_PHASE / dom.osc_scale)
     seen = []
 
     def pdf(x):
-        seen.append(x[np.abs(x) > xc])
+        seen.append(x[np.abs(x - dom.centre) > xc])
         return spec.pdf(x)
 
     return dataclasses.replace(spec, pdf=pdf), seen
+
+
+def _each_once(seen):
+    tail = np.concatenate(seen)
+    return len(tail) > 0 and len(np.unique(tail)) == len(tail)
+
+
+def _row_integrals(spec):
+    """The integrals of x p, x^2 p and p ln p over a 1-D form, each alone."""
+    return [integrate_1d(f, spec.domain, TOL, seed_points=spec.seeds)
+            for f in (lambda x: x * spec.pdf(x),
+                      lambda x: x * x * spec.pdf(x),
+                      lambda x: _xlogx(spec.pdf(x)))]
 
 
 class TestSharedSlicePass:
@@ -134,17 +149,16 @@ class TestSharedSlicePass:
         cond = conditional_of(make_density(plane, "spdc", Params(p=p), TOL),
                               0.0, TOL)
         spied, seen = _tail_nodes(cond)
-        var, entropy = _slice_variance_and_entropy(spied, TOL)
+        mean, var, entropy = _pdf_integrals(spied, TOL, entropy=True)
+        _, (m2, _), (v, err) = _row_integrals(cond)
+        assert (mean, var, entropy) == (0.0, m2, (-v / _LN2, err / _LN2))
         assert var == moments_1d(cond, TOL)[1]
         assert entropy == _entropy_with_err(cond, TOL)
-        tail = np.concatenate(seen)
-        assert len(tail) and len(np.unique(tail)) == len(tail)
+        assert _each_once(seen)
 
     def test_offset_slice_rows(self):
         cond = conditional_of(make_density("near_field", "spdc", Params(p=1.0),
                                            TOL), 0.4, TOL)
-        integrands = (lambda x: x * cond.pdf(x), lambda x: x * x * cond.pdf(x),
-                      lambda x: _xlogx(cond.pdf(x)))
         spied, seen = _tail_nodes(cond)
 
         def rows(x):
@@ -152,10 +166,52 @@ class TestSharedSlicePass:
             return np.stack([x * p, x * x * p, _xlogx(p)])
 
         got = integrate_1d(rows, cond.domain, TOL, seed_points=cond.seeds)
-        assert got == [integrate_1d(f, cond.domain, TOL, seed_points=cond.seeds)
-                       for f in integrands]
-        tail = np.concatenate(seen)
-        assert len(tail) and len(np.unique(tail)) == len(tail)
+        assert got == _row_integrals(cond)
+        assert _each_once(seen)
+
+
+class TestOnePassPerDensity:
+    """negentropy and moments_1d of a conditional each make one
+    integrate_1d call, whose rows are bit for bit their own integrals."""
+
+    @staticmethod
+    def _spied(monkeypatch, spec):
+        calls = []
+        run = moments.integrate_1d
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "integrate_1d", spy)
+        spied, seen = _tail_nodes(spec)
+        return spied, calls, seen
+
+    @pytest.mark.parametrize("c", (0.0, 0.4))
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_negentropy(self, monkeypatch, plane, c):
+        cond = conditional_of(make_density(plane, "spdc", Params(p=1.0), TOL),
+                              c, TOL)
+        (m1, _), (m2, _), (v, err) = _row_integrals(cond)
+        var = m2 - m1 * m1 if c else m2
+        spied, calls, seen = self._spied(monkeypatch, cond)
+        n = negentropy(spied, TOL)
+        assert calls == [cond.domain]
+        assert (n.h_actual, n.err_estimate) == (-v / _LN2, err / _LN2)
+        assert n.h_gaussian == 0.5 * math.log2(2.0 * math.pi * math.e * var)
+        assert _each_once(seen)
+
+    @pytest.mark.parametrize("c", (0.0, 0.4))
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_moments(self, monkeypatch, plane, c):
+        cond = conditional_of(make_density(plane, "spdc", Params(p=1.0), TOL),
+                              c, TOL)
+        (m1, _), (m2, _), _ = _row_integrals(cond)
+        spied, calls, seen = self._spied(monkeypatch, cond)
+        mean, var = moments_1d(spied, TOL)
+        assert calls == [cond.domain]
+        assert (mean, var) == ((m1, m2 - m1 * m1) if c else (0.0, m2))
+        assert _each_once(seen)
 
 
 class TestMarginalLimits:

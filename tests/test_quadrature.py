@@ -579,6 +579,27 @@ class TestBatchedPanels:
         assert results[0] == results[1]
 
 
+class TestPanelNodes:
+    """A panel evaluates 21 distinct nodes: the Gauss-7 midpoint is the
+    Gauss-15 one, and the rules match the 22-node ``_panel_rule``."""
+
+    def test_distinct_nodes(self):
+        x = quadrature._PANEL_X
+        assert len(x) == len(np.unique(x)) == 21
+        assert set(quadrature._G7_X) <= set(x)
+
+    @pytest.mark.parametrize("f", (lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+                                   lambda x: np.abs(x - 0.3) * np.exp(x),
+                                   lambda x: sint(x * x) ** 2,
+                                   lambda x: _xlogx(sinc(x * x) ** 2)))
+    def test_rules_match_the_22_node_rule(self, f):
+        panels = [(-4.0, -0.5), (-0.5, 0.3), (0.3, 2.0), (2.0, 9.7)]
+        g, seen = _counted(f)
+        got = quadrature._panel_rules(g, panels)
+        assert got == [_panel_rule(f, a, b) for a, b in panels]
+        assert seen == [21 * len(panels), 1]
+
+
 class TestErrorHonesty:
     CASES = [
         (lambda x: np.exp(-x * x), Domain.full_line(), SQRT_PI),
