@@ -158,10 +158,13 @@ class Joint:
 class Density1D:
     """A normalized 1-D density: a marginal or a conditional of ``parent``.
 
-    ``domain`` suits integrals over ``pdf``: it carries the centre, the
-    oscillation hint, the smooth-bulk reach beyond which the tail is pure
-    kernel, and whether pdf is even about the centre.  ``seeds`` are known
-    feature locations; ``fixed`` is a conditional's conditioning value and ``weight`` its
+    ``pdf`` maps an array of points (any shape, 0-d included) or a float
+    to the density there; a conditional's reads back the values of its
+    weight integral (see ``conditional_of``).  ``domain`` suits integrals
+    over ``pdf``: it carries the centre, the oscillation hint, the
+    smooth-bulk reach beyond which the tail is pure kernel, and whether pdf
+    is even about the centre.  ``seeds`` are known feature locations;
+    ``fixed`` is a conditional's conditioning value and ``weight`` its
     slice integral, the joint over the line x2 = fixed divided by the
     joint's norm, with its error.  ``entropy_tail`` is a table marginal's
     ``(x_from, F)``: beyond |x| = x_from, F is the antiderivative of
@@ -495,6 +498,15 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
 
     Its domain is centred on the kernel's peak and phase, xi1 = fixed_value,
     at any slice value; only the origin slice is even.
+
+    The weight integral keeps the unnormalized slice values of every node
+    array it evaluates, read-only, under the array's bytes.  ``pdf`` divides
+    the kept values by the weight when handed a 1-D float64 array with those
+    bytes, as the slice's later passes over the same nodes are; any other
+    input is evaluated afresh and not kept, so the store is fixed once this
+    returns and the pdf is safe to share between threads.  Either way the
+    same floats are divided by the same weight, so every value has the same
+    bits.
     """
     if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")
@@ -515,13 +527,24 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     gw = joint.g_width * math.sqrt(2.0)
     seeds = tuple(np.concatenate([-c + gw * np.linspace(-10.0, 10.0, 21), [c]]))
     dom = Domain.full_line(osc_scale=osc, even=c == 0.0, centre=c)
-    s, serr = integrate_1d(slice_unnorm, dom, tol, seed_points=seeds)
+    stored = {}    # the weight pass's slice values, under their nodes' bytes
+
+    def weighed(x):
+        y = slice_unnorm(x)
+        y.flags.writeable = False
+        stored[x.tobytes()] = y
+        return y
+
+    s, serr = integrate_1d(weighed, dom, tol, seed_points=seeds)
     if not (s > 0) or not np.isfinite(s) or s <= 10.0 * serr:
         raise DegenerateSliceError(
             f"marginal vanishes (slice weight {s!r}) at {fixed_value!r}")
 
     def pdf(x):
-        return slice_unnorm(x) / s
+        y = None
+        if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64:
+            y = stored.get(x.tobytes())
+        return (slice_unnorm(x) if y is None else y) / s
 
     return Density1D("conditional_at", pdf, dom, seeds, parent=joint, fixed=c,
                      weight=(s, serr))

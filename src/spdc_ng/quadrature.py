@@ -229,15 +229,15 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
     pieces = np.unique(pieces)
     panels = np.column_stack([pieces[:-1], pieces[1:]]).tolist()
 
-    heap = []
+    rules = _panel_rules(f, panels)
     total = 0.0
     toterr = 0.0
-    count = 0
-    for (lo, hi), (v, e) in zip(panels, _panel_rules(f, panels)):
-        heapq.heappush(heap, (-e, lo, hi, v))
+    for v, e in rules:    # in panel order: these running sums are rounded
         total += v
         toterr += e
-        count += 1
+    heap = [(-e, lo, hi, v) for (lo, hi), (v, e) in zip(panels, rules)]
+    heapq.heapify(heap)
+    count = len(heap)
 
     children = {}    # (lo, hi) of a panel -> the rules of its two halves
     while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):
@@ -270,10 +270,9 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
         heapq.heappush(heap, (-e2, mid, hi, v2))
         count += 1
 
-    # Deterministic final summation, ordered by panel position.
-    panels = sorted((lo, v, -ne) for ne, lo, hi, v in heap)
-    value = math.fsum(p[1] for p in panels)
-    err = math.fsum(p[2] for p in panels)
+    # fsum is correctly rounded, so the heap's order does not change its sums.
+    value = math.fsum(v for _, _, _, v in heap)
+    err = math.fsum(-ne for ne, _, _, _ in heap)
     return value, err
 
 

@@ -22,7 +22,7 @@ from spdc_ng.distributions import (DegenerateSliceError, Density1D, Joint,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
 from spdc_ng.entropy import differential_entropy, negentropy
-from spdc_ng.moments import _factor_variances
+from spdc_ng.moments import _factor_variances, moments_1d
 from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx, shape_constants
 
@@ -204,6 +204,108 @@ class TestStructure:
         for build in (marginal_of, conditional_of, gaussian_equivalent):
             with pytest.raises(ValueError):
                 build(cond)
+
+
+def _kernel_points(monkeypatch):
+    """A one-item list that counts the points the sinc and sint kernels of
+    densities made from now on are evaluated on."""
+    points = [0]
+
+    def counting(shape):
+        def counted(y):
+            points[0] += np.size(y)
+            return shape(y)
+        return counted
+
+    for name in ("sinc", "sint"):
+        monkeypatch.setattr(distributions, name,
+                            counting(getattr(distributions, name)))
+    return points
+
+
+class TestSliceStore:
+    """A conditional keeps the slice values of its weight pass, one per
+    node; its pdf reads them back and evaluates everything else afresh."""
+
+    @staticmethod
+    def _weighed_slice(monkeypatch, plane, fixed):
+        """A slice at P = 1, with the node arrays its weight pass saw."""
+        nodes = []
+        run = distributions.integrate_1d
+
+        def spy(f, *args, **kwargs):
+            def seen(x):
+                nodes.append(x.copy())
+                return f(x)
+            return run(seen, *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "integrate_1d", spy)
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
+        return j, conditional_of(j, fixed, TOL), nodes
+
+    @staticmethod
+    def _fresh_pdf(j, cond, x):
+        """slice_unnorm(x) / s, with conditional_of's own arithmetic."""
+        x = np.asarray(x, float)
+        c = cond.fixed
+        u, v = (x + c) / math.sqrt(2.0), (x - c) / math.sqrt(2.0)
+        return j.g(u) * j.kernel(v) / cond.weight[0]
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("fixed", (0.0, 0.4))
+    def test_pdf_keeps_its_bits_and_shape(self, monkeypatch, plane, fixed):
+        j, cond, nodes = self._weighed_slice(monkeypatch, plane, fixed)
+        node = nodes[len(nodes) // 2]
+        for x in (node, np.linspace(-3.0, 3.0, 101), np.array(0.3), 0.3,
+                  node[:len(node) // 2 * 2].reshape(2, -1)):
+            got = cond.pdf(x)
+            want = self._fresh_pdf(j, cond, x)
+            assert np.shape(got) == np.shape(x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_only_weight_pass_nodes_are_stored(self, monkeypatch, plane):
+        points = _kernel_points(monkeypatch)
+        _, cond, nodes = self._weighed_slice(monkeypatch, plane, 0.0)
+        points[0] = 0
+        cond.pdf(nodes[0])
+        assert points[0] == 0
+        # A fresh array costs the kernel every time: the store does not grow.
+        fresh = np.linspace(-3.0, 3.0, 101)
+        cond.pdf(fresh)
+        cond.pdf(fresh)
+        assert points[0] == 2 * fresh.size
+
+    def test_threads_share_one_slice(self, monkeypatch):
+        _, cond, nodes = self._weighed_slice(monkeypatch, "near_field", 0.4)
+        inputs = nodes[::4] + [np.linspace(-3.0, 3.0, 101)]
+        alone = [cond.pdf(x).tobytes() for x in inputs]
+        start = threading.Barrier(4, timeout=60.0)
+
+        def read():
+            start.wait()
+            return [[cond.pdf(x).tobytes() for x in inputs]
+                    for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [f.result(timeout=60.0)
+                        for f in [pool.submit(read) for _ in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == alone for thread in runs for run in thread)
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_origin_moments_evaluate_no_kernel(self, monkeypatch, plane):
+        # At P = 1 the variance pass asks for exactly the weight pass's node
+        # arrays: 2,808 kernel points on each plane before.
+        points = _kernel_points(monkeypatch)
+        cond = conditional_of(make_density(plane, "spdc", Params(p=1.0)), 0.0)
+        points[0] = 0
+        moments_1d(cond)
+        assert points[0] == 0
 
 
 def _oscillatory_calls(monkeypatch):
@@ -634,7 +736,6 @@ class TestGaussianModel:
 
     def test_conditional_variance_closed_form(self):
         # var(x1 | x2 = 0) = (g^2 k^2) / (g^2 + k^2) in half-width units.
-        from spdc_ng.moments import moments_1d
         alpha, p = 0.45, 0.8
         j = make_density("far_field", "gaussian", Params(p=p), TOL,
                          alpha=alpha)
