@@ -11,7 +11,6 @@ sweep failure (failed rows carry an error sentinel and the run continues).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -348,9 +347,7 @@ def _cmd_constants(args):
 # ------------------------------------------------------------------ main
 
 
-@functools.cache
 def _build_parser():
-    """The process's one parser: parse_args keeps no state between calls."""
     parser = _Parser(prog="spdc-ng",
                      description="Spatial two-photon densities, entanglement "
                                  "criteria, and non-Gaussianity measures.")

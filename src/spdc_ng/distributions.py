@@ -502,11 +502,11 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     The weight integral keeps the unnormalized slice values of every node
     array it evaluates, read-only, under the array's bytes.  ``pdf`` divides
     the kept values by the weight when handed a 1-D float64 array with those
-    bytes, as the slice's later passes over the same nodes are; any other
-    input is evaluated afresh and not kept, so the store is fixed once this
-    returns and the pdf is safe to share between threads.  Either way the
-    same floats are divided by the same weight, so every value has the same
-    bits.
+    bytes, as the slice's later passes are wherever integrate_1d hands them
+    the weight pass's nodes (see the quadrature module).  Any other input is
+    evaluated afresh and not kept, so the store is fixed once this returns
+    and the pdf is safe to share between threads.  Either way the same
+    floats are divided by the same weight, so every value has the same bits.
     """
     if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")

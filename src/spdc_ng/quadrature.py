@@ -49,6 +49,13 @@ report's integrand points.
 
 All integrand callables must accept numpy arrays (vectorized evaluation) and
 act pointwise: a point's value may not depend on the other points of the call.
+The node arrays a call hands its integrand depend only on the domain, the
+seed points, the tolerance and the values the integrand has returned so far.
+Two integrals over one domain and seed points therefore start on the same
+arrays, byte for byte (the initial panels, the first tail blocks), and share
+every later array their refinements share: a caller may keep an integrand's
+values under the bytes of their nodes and read them back in a later integral
+over the same domain, as ``distributions.conditional_of`` does.
 """
 
 from __future__ import annotations
@@ -229,15 +236,15 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
     pieces = np.unique(pieces)
     panels = np.column_stack([pieces[:-1], pieces[1:]]).tolist()
 
-    rules = _panel_rules(f, panels)
+    heap = []
     total = 0.0
     toterr = 0.0
-    for v, e in rules:    # in panel order: these running sums are rounded
+    count = 0
+    for (lo, hi), (v, e) in zip(panels, _panel_rules(f, panels)):
+        heapq.heappush(heap, (-e, lo, hi, v))
         total += v
         toterr += e
-    heap = [(-e, lo, hi, v) for (lo, hi), (v, e) in zip(panels, rules)]
-    heapq.heapify(heap)
-    count = len(heap)
+        count += 1
 
     children = {}    # (lo, hi) of a panel -> the rules of its two halves
     while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):

@@ -10,8 +10,8 @@ import pytest
 
 import spdc_ng
 from spdc_ng import distributions, quadrature, specfun
-from spdc_ng.cli import (_FIG_SWEEPS, _build_parser, _grid, _report_record,
-                         _sweep_values, main)
+from spdc_ng.cli import (_FIG_SWEEPS, _grid, _report_record, _sweep_values,
+                         main)
 from spdc_ng.distributions import Params, conditional_of, make_density
 from spdc_ng.moments import conditional_variances, moments_1d
 from spdc_ng.quadrature import QuadratureError, QuadTolerance
@@ -258,31 +258,6 @@ class TestInstalledScript:
         assert rec["a1"] == pytest.approx(1.4007666, abs=1e-5)
 
 
-class TestCachedParser:
-    ARGS = (["sweep", "--quantity", "nope"],
-            ["sweep", "--quantity", "epr", "--p-min", "0.5", "--p-max", "1",
-             "--steps", "2", "--alpha", "0.45", "--alpha", "0.72"] + FAST,
-            ["sweep", "--quantity", "epr", "--p-min", "0.5", "--p-max", "1",
-             "--steps", "2"] + FAST)
-
-    def test_one_parser_per_process(self):
-        assert _build_parser() is _build_parser()
-
-    def test_runs_in_one_process_match_fresh_processes(self, capsys):
-        # An `append` option's list must not carry over from one parse to
-        # the next: the third run has no --alpha columns.
-        src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
-        for args in self.ARGS:
-            code = _run(args)
-            out, err = capsys.readouterr()
-            fresh = subprocess.run([sys.executable, "-m", "spdc_ng.cli"]
-                                   + args, capture_output=True, text=True,
-                                   env={**os.environ, "PYTHONPATH": src})
-            assert (code, out, err) == (fresh.returncode, fresh.stdout,
-                                        fresh.stderr)
-        assert code == 0 and "gauss" not in out
-
-
 def _count_calls(monkeypatch, *names):
     """Count calls of the named functions that distributions binds,
     through every spdc_ng namespace that binds them."""
@@ -334,23 +309,6 @@ def _count_integrand_points(monkeypatch):
     for name in ("_adaptive_finite", "_tail_blocks"):
         monkeypatch.setattr(quadrature, name,
                             counting(getattr(quadrature, name)))
-    return points
-
-
-def _count_kernel_points(monkeypatch):
-    """A one-item list that counts the points every sinc and sint kernel
-    that distributions builds from now on is evaluated on."""
-    points = [0]
-
-    def counting(shape):
-        def counted(y):
-            points[0] += np.size(y)
-            return shape(y)
-        return counted
-
-    for name in ("sinc", "sint"):
-        monkeypatch.setattr(distributions, name,
-                            counting(getattr(distributions, name)))
     return points
 
 
@@ -417,24 +375,23 @@ class TestConstructionCounts:
 
     @pytest.mark.parametrize("p, expected", ((0.0034, 643222),
                                              (1.0, 34934), (99.0, 612064)))
-    def test_report_kernel_points(self, monkeypatch, p, expected):
+    def test_report_kernel_points(self, kernel_points, p, expected):
         # A slice's later passes read the slice values of its weight pass
         # at every node that pass evaluated: 769,078 / 40,550 / 737,920
         # kernel points before.
         shape_constants()
-        points = _count_kernel_points(monkeypatch)
         _report_record(p, 1.0, QuadTolerance())
-        assert points[0] == expected
+        assert kernel_points[0] == expected
 
-    def test_figure_2_conditional_variances_kernel_points(self, monkeypatch):
+    def test_figure_2_conditional_variances_kernel_points(self,
+                                                          kernel_points):
         # The variance pass evaluates the kernel only at nodes the weight
         # pass did not: 664,242 kernel points before.
         shape_constants()
-        points = _count_kernel_points(monkeypatch)
         *_, p_min, p_max, steps, log = _FIG_SWEEPS["2"]
         for p in _grid(p_min, p_max, steps, log):
             conditional_variances(Params(p=p), QuadTolerance())
-        assert points[0] == 358338
+        assert kernel_points[0] == 358338
 
     def test_report_integrates_no_loose_origin_leg(self, monkeypatch):
         # Every integral of a report runs at the report's tolerance.  The

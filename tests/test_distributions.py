@@ -206,23 +206,6 @@ class TestStructure:
                 build(cond)
 
 
-def _kernel_points(monkeypatch):
-    """A one-item list that counts the points the sinc and sint kernels of
-    densities made from now on are evaluated on."""
-    points = [0]
-
-    def counting(shape):
-        def counted(y):
-            points[0] += np.size(y)
-            return shape(y)
-        return counted
-
-    for name in ("sinc", "sint"):
-        monkeypatch.setattr(distributions, name,
-                            counting(getattr(distributions, name)))
-    return points
-
-
 class TestSliceStore:
     """A conditional keeps the slice values of its weight pass, one per
     node; its pdf reads them back and evaluates everything else afresh."""
@@ -264,8 +247,9 @@ class TestSliceStore:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
-    def test_only_weight_pass_nodes_are_stored(self, monkeypatch, plane):
-        points = _kernel_points(monkeypatch)
+    def test_only_weight_pass_nodes_are_stored(self, monkeypatch,
+                                               kernel_points, plane):
+        points = kernel_points
         _, cond, nodes = self._weighed_slice(monkeypatch, plane, 0.0)
         points[0] = 0
         cond.pdf(nodes[0])
@@ -298,10 +282,10 @@ class TestSliceStore:
         assert all(run == alone for thread in runs for run in thread)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
-    def test_origin_moments_evaluate_no_kernel(self, monkeypatch, plane):
+    def test_origin_moments_evaluate_no_kernel(self, kernel_points, plane):
         # At P = 1 the variance pass asks for exactly the weight pass's node
         # arrays: 2,808 kernel points on each plane before.
-        points = _kernel_points(monkeypatch)
+        points = kernel_points
         cond = conditional_of(make_density(plane, "spdc", Params(p=1.0)), 0.0)
         points[0] = 0
         moments_1d(cond)
