@@ -123,8 +123,8 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
 
 
 def _grid(p_min, p_max, steps, log):
-    if not (0 < p_min < p_max):
-        raise _UsageError("need 0 < p-min < p-max")
+    if not (0 < p_min < p_max < math.inf):
+        raise _UsageError("need 0 < p-min < p-max, both finite")
     if steps < 2:
         raise _UsageError("need steps >= 2")
     if log:

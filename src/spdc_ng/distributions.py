@@ -87,10 +87,10 @@ class Params:
     physical: Physical | None = None
 
     def __post_init__(self):
-        if not (self.p > 0):
-            raise ValueError("p must be positive")
-        if not (self.sigma >= 1):
-            raise ValueError("sigma must be >= 1")
+        if not (0 < self.p < math.inf):
+            raise ValueError("p must be positive and finite")
+        if not (1 <= self.sigma < math.inf):
+            raise ValueError("sigma must be >= 1 and finite")
         if self.physical is not None:
             z0 = self.physical.diffraction_length
             p_ref = math.sqrt(self.physical.crystal_length / (2.0 * z0))
@@ -159,16 +159,16 @@ class Density1D:
     """A normalized 1-D density: a marginal or a conditional of ``parent``.
 
     ``pdf`` maps an array of points (any shape, 0-d included) or a float
-    to the density there; a conditional's reads back the values of its
-    weight integral (see ``conditional_of``).  ``domain`` suits integrals
-    over ``pdf``: it carries the centre, the oscillation hint, the
-    smooth-bulk reach beyond which the tail is pure kernel, and whether pdf
-    is even about the centre.  ``seeds`` are known feature locations;
-    ``fixed`` is a conditional's conditioning value and ``weight`` its
-    slice integral, the joint over the line x2 = fixed divided by the
-    joint's norm, with its error.  ``entropy_tail`` is a table marginal's
-    ``(x_from, F)``: beyond |x| = x_from, F is the antiderivative of
-    pdf ln pdf that vanishes at infinity.
+    to the density there; a conditional's keeps its values at the node
+    arrays of every pass over it (see ``conditional_of``).  ``domain``
+    suits integrals over ``pdf``: it carries the centre, the oscillation
+    hint, the smooth-bulk reach beyond which the tail is pure kernel, and
+    whether pdf is even about the centre.  ``seeds`` are known feature
+    locations; ``fixed`` is a conditional's conditioning value and
+    ``weight`` its slice integral, the joint over the line x2 = fixed
+    divided by the joint's norm, with its error.  ``entropy_tail`` is a
+    table marginal's ``(x_from, F)``: beyond |x| = x_from, F is the
+    antiderivative of pdf ln pdf that vanishes at infinity.
     """
 
     form: str
@@ -499,14 +499,15 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     Its domain is centred on the kernel's peak and phase, xi1 = fixed_value,
     at any slice value; only the origin slice is even.
 
-    The weight integral keeps the unnormalized slice values of every node
-    array it evaluates, read-only, under the array's bytes.  ``pdf`` divides
-    the kept values by the weight when handed a 1-D float64 array with those
-    bytes, as the slice's later passes are wherever integrate_1d hands them
-    the weight pass's nodes (see the quadrature module).  Any other input is
-    evaluated afresh and not kept, so the store is fixed once this returns
-    and the pdf is safe to share between threads.  Either way the same
-    floats are divided by the same weight, so every value has the same bits.
+    The slice keeps its unnormalized values, read-only, under the bytes of
+    every 1-D float64 array it is evaluated on, by the weight integral or
+    later through ``pdf``; an array seen before costs no kernel evaluation.
+    Integrals over the slice's domain share most node arrays (see the
+    quadrature module), so its weight, moments and entropy read one
+    another's values.  Any other input (0-d, a float, 2-D) is evaluated
+    afresh and not kept.  ``pdf`` divides by the weight, so every value has
+    the same bits either way.  A key always maps to the same bits and dict
+    reads and writes are atomic, so threads may share the pdf.
     """
     if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")
@@ -527,24 +528,26 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     gw = joint.g_width * math.sqrt(2.0)
     seeds = tuple(np.concatenate([-c + gw * np.linspace(-10.0, 10.0, 21), [c]]))
     dom = Domain.full_line(osc_scale=osc, even=c == 0.0, centre=c)
-    stored = {}    # the weight pass's slice values, under their nodes' bytes
+    stored = {}    # slice values of 1-D node arrays, under their bytes
 
-    def weighed(x):
-        y = slice_unnorm(x)
-        y.flags.writeable = False
-        stored[x.tobytes()] = y
-        return y
+    def kept(x):
+        if not (isinstance(x, np.ndarray) and x.ndim == 1
+                and x.dtype == np.float64):
+            return slice_unnorm(x)
+        key = x.tobytes()
+        if key not in stored:
+            y = slice_unnorm(x)
+            y.flags.writeable = False
+            stored[key] = y
+        return stored[key]
 
-    s, serr = integrate_1d(weighed, dom, tol, seed_points=seeds)
+    s, serr = integrate_1d(kept, dom, tol, seed_points=seeds)
     if not (s > 0) or not np.isfinite(s) or s <= 10.0 * serr:
         raise DegenerateSliceError(
             f"marginal vanishes (slice weight {s!r}) at {fixed_value!r}")
 
     def pdf(x):
-        y = None
-        if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype == np.float64:
-            y = stored.get(x.tobytes())
-        return (slice_unnorm(x) if y is None else y) / s
+        return kept(x) / s
 
     return Density1D("conditional_at", pdf, dom, seeds, parent=joint, fixed=c,
                      weight=(s, serr))

@@ -150,7 +150,7 @@ def negentropy(spec, tol=None):
     its kernel variance s2_v through the matched Gaussian's; a marginal's is
     its entropy integral's plus that of s2_v through its variance; a
     conditional's is its entropy integral's alone.  A conditional's moments
-    and entropy come from one integral (``moments._pdf_integrals``)."""
+    and entropy share its kept slice values (``moments._pdf_integrals``)."""
     tol = tol or spec.tol
     if isinstance(spec, Joint):
         s2_u, s2_v, err = _factor_variances(spec, tol)
@@ -169,7 +169,7 @@ def _plane_report(plane, params, tol):
     Each density is built once and each second moment integrated once: the
     marginal's variance is the mean of its joint's factor variances, and
     its cross-check reads the origin slice's weight.  The slice's variance
-    and entropy share one pass over its nodes, as in ``negentropy``.
+    and entropy share its kept slice values, as in ``negentropy``.
     """
     joint = make_density(plane, "spdc", params, tol)
     cond = conditional_of(joint, 0.0, tol)

@@ -185,34 +185,27 @@ def covariance_closed(plane, params, tol=None):
 
 def _pdf_integrals(spec, tol, moments=True, entropy=False):
     """(mean, variance, (entropy, err) in bits) of a 1-D form, from one
-    integrate_1d call over the rows x p, x^2 p and p ln p of its pdf; a part
-    not asked for is None.  An origin slice is even: its mean is 0 and x p
-    is not integrated.  One row is a plain scalar integrand.  The entropy
-    alone takes a table marginal's ``entropy_tail`` as its closed tail."""
-    odd = moments and spec.fixed != 0.0
-    integrands = [f for f, wanted in ((lambda x, p: x * p, odd),
-                                      (lambda x, p: x * x * p, moments),
-                                      (lambda x, p: _xlogx(p), entropy))
-                  if wanted]
+    integrate_1d call per integrand x p, x^2 p and p ln p of its pdf; a
+    part not asked for is None.  An origin slice is even: its mean is 0 and
+    x p is not integrated.  The entropy takes a table marginal's
+    ``entropy_tail`` as its closed tail.  A conditional's pdf keeps its
+    values, so the calls share the kernel values of the node arrays they
+    have in common (see ``conditional_of``)."""
+    def integral(f, dom=spec.domain):
+        return integrate_1d(f, dom, tol, seed_points=spec.seeds)
 
-    def rows(x):
-        p = spec.pdf(x)
-        out = [f(x, p) for f in integrands]
-        return out[0] if len(out) == 1 else np.stack(out)
-
-    dom = spec.domain
-    if spec.entropy_tail is not None and not moments:
-        dom = replace(dom, antiderivative=spec.entropy_tail)
-    res = integrate_1d(rows, dom, tol, seed_points=spec.seeds)
-    res = [res] if len(integrands) == 1 else res
     mean = var = h = None
-    if entropy:
-        v, err = res.pop()
-        h = (-v / _LN2, err / _LN2)
     if moments:
-        m2, _ = res.pop()
-        mean = res.pop()[0] if odd else 0.0
+        mean = (integral(lambda x: x * spec.pdf(x))[0] if spec.fixed != 0.0
+                else 0.0)
+        m2, _ = integral(lambda x: x * x * spec.pdf(x))
         var = m2 - mean * mean
+    if entropy:
+        dom = spec.domain
+        if spec.entropy_tail is not None:
+            dom = replace(dom, antiderivative=spec.entropy_tail)
+        v, err = integral(lambda x: _xlogx(spec.pdf(x)), dom)
+        h = (-v / _LN2, err / _LN2)
     return mean, var, h
 
 
@@ -220,8 +213,8 @@ def moments_1d(spec, tol=None):
     """(mean, variance) of a 1-D density.
 
     Marginals reuse their parent joint's factor variances (exact reduction;
-    their mean is zero by symmetry); conditionals integrate their own pdf,
-    both moments in one call (``_pdf_integrals``).
+    their mean is zero by symmetry); conditionals integrate their own pdf
+    (``_pdf_integrals``).
     """
     if not isinstance(spec, Density1D):
         raise ValueError("moments_1d expects a 1-D form")

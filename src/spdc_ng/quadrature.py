@@ -30,13 +30,6 @@ antiderivative beyond some |x - x0| takes the blocks there from it, with no
 integrand points and rule error 0; the probe, rounds and extrapolation run
 on those block values as on any others.
 
-An integrand may return several rows, shape (rows, n), for one set of nodes
-(say x^2 p and p ln p of one density p).  Each row is integrated by the same
-engine as if alone, so its value and error are bit for bit its own integral's,
-but one call of the integrand, kept for the length of the ``integrate_1d``
-call under the bytes of its nodes, serves every row that asks for the same
-nodes: the tail blocks of all rows and any core panel batch they share.
-
 The adaptive panels are evaluated in batches: all initial panels in one call
 of the integrand, and on bisection the children of the popped panel together
 with those of up to ``_LOOKAHEAD - 1`` of the next worst panels (look-ahead;
@@ -507,33 +500,11 @@ def _integrate(f, domain, tol, seed_points):
 
 
 def integrate_1d(f, domain, tol=None, seed_points=()):
-    """Integrate vectorized ``f`` over ``domain``.
+    """Integrate vectorized ``f``, one value per node, over ``domain``;
+    returns ``(value, err_estimate)``.
 
-    Returns ``(value, err_estimate)``, or a list of them, one per row, for
-    an ``f`` that returns rows of shape (rows, n): each row's pair is bit
-    for bit that of integrating the row alone, and one call of ``f`` serves
-    every row that asks for the same nodes (see the module docstring).
     Raises :class:`QuadratureError`, carrying the partial value, if the
     panel budget is exhausted.  ``seed_points`` mark known narrow features
     (finite domains and the core region of oscillatory domains only).
     """
-    tol = tol or QuadTolerance()
-    kept = {}    # the rows of each call of f, under the bytes of its nodes
-
-    def row(r):
-        def view(x):
-            y = kept.get(x.tobytes()) if r else None
-            if y is None:
-                y = np.asarray(f(x), dtype=float)
-                if y.ndim < 2:
-                    return y
-                kept[x.tobytes()] = y
-            return y[r]
-        return view
-
-    first = _integrate(row(0), domain, tol, seed_points)
-    if not kept:
-        return first
-    n_rows = len(next(iter(kept.values())))
-    return [first] + [_integrate(row(r), domain, tol, seed_points)
-                      for r in range(1, n_rows)]
+    return _integrate(f, domain, tol or QuadTolerance(), seed_points)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,19 @@ def kernel_points(monkeypatch):
         monkeypatch.setattr(distributions, name,
                             counting(getattr(distributions, name)))
     return points
+
+
+@pytest.fixture
+def kernel_nodes():
+    """``(nodes, record)``: ``record(joint)`` is ``joint`` with a kernel that
+    appends a copy of every array of points it is evaluated on to the list
+    ``nodes``, so that densities built from it show their kernel nodes."""
+    nodes = []
+
+    def record(joint):
+        def kernel(v):
+            nodes.append(np.array(v, float))
+            return joint.kernel(v)
+        return dataclasses.replace(joint, kernel=kernel)
+
+    return nodes, record

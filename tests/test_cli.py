@@ -71,6 +71,20 @@ class TestExitCodes:
         assert _run(["sweep", "--quantity", "mancini", "--steps", "2",
                      "--threads", "1", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("args, name", ((["--p", "inf"], "p"),
+                                            (["--p", "1", "--sigma", "inf"],
+                                             "sigma")))
+    def test_non_finite_parameter_is_computation_error(self, capsys, args,
+                                                        name):
+        assert _run(["report"] + args + FAST) == 2
+        assert (f"computation failed: ValueError: {name} must be"
+                in capsys.readouterr().err)
+
+    def test_infinite_p_max_is_usage_error(self, capsys):
+        assert _run(["sweep", "--quantity", "mancini", "--p-min", "0.1",
+                     "--p-max", "inf", "--steps", "3"]) == 1
+        assert "both finite" in capsys.readouterr().err
+
     def test_negative_tolerance_is_computation_error(self, capsys):
         assert _run(["report", "--p", "1.0", "--abs-tol", "-1"]) == 2
         assert "computation failed" in capsys.readouterr().err
@@ -333,10 +347,10 @@ class TestConstructionCounts:
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
         _report_record(p, 1.0, FAST_TOL)
-        # Per plane: the origin slice's weight, its variance and entropy in
-        # one two-row integral, the 0.7 g_width cross-check, the kernel
-        # variance's core and the marginal entropy.
-        assert counts == {"integrate_1d": 10}
+        # Per plane: the origin slice's weight, variance and entropy, the
+        # 0.7 g_width cross-check, the kernel variance's core and the
+        # marginal entropy.
+        assert counts == {"integrate_1d": 12}
 
     @pytest.mark.parametrize("p", (0.0034, 0.05, 1.0, 20.0, 99.0))
     def test_report_marginal_table_builds(self, monkeypatch, p):
@@ -361,8 +375,9 @@ class TestConstructionCounts:
         # cores alone.  The marginal entropies take every tail block past
         # their table's reach from its closed antiderivative (8,192 blocks
         # each at P = 1 before), and the x2 = 0 cross-check reads the origin
-        # slice's weight.  The slice's two-row integral counts each row's
-        # points here: 904,684 / 283,328 / 1,163,424 points before.  The
+        # slice's weight.  The slice's variance and entropy integrals each
+        # count their points here: 904,684 / 283,328 / 1,163,424 points
+        # before.  The
         # x2 = 0.7 g_width leg, once an uncentred integral at 100x the
         # report's tolerance, is a kernel-centred slice at the report's
         # tolerance: 656,226 / 35,406 / 914,702 points before.  Adaptive
@@ -376,8 +391,8 @@ class TestConstructionCounts:
     @pytest.mark.parametrize("p, expected", ((0.0034, 643222),
                                              (1.0, 34934), (99.0, 612064)))
     def test_report_kernel_points(self, kernel_points, p, expected):
-        # A slice's later passes read the slice values of its weight pass
-        # at every node that pass evaluated: 769,078 / 40,550 / 737,920
+        # A slice's passes read the slice values kept under every node
+        # array an earlier pass evaluated: 769,078 / 40,550 / 737,920
         # kernel points before.
         shape_constants()
         _report_record(p, 1.0, QuadTolerance())
@@ -457,11 +472,11 @@ class TestConstructionCounts:
     @pytest.mark.parametrize("quantity, calls", (("epr", 4),
                                                  ("var_q_norm", 2),
                                                  ("var_x_norm", 2),
-                                                 ("ng_cond", 4),
+                                                 ("ng_cond", 6),
                                                  ("ng_total", 2),
                                                  ("ng_marg", 8)))
     def test_row_integral_count(self, monkeypatch, quantity, calls):
-        # A conditional's weight, then its moments and entropy in one call.
+        # A conditional's weight, then one call per moment and entropy.
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
         _sweep_values(quantity, 1.0, 1.0, (0.72,), FAST_TOL)
@@ -486,5 +501,5 @@ class TestConstructionCounts:
         mean, _ = moments_1d(origin, FAST_TOL)
         assert mean == 0.0 and counts == {"integrate_1d": 1}
         mean, _ = moments_1d(off, FAST_TOL)
-        # The offset slice's mean and second moment share one call.
-        assert abs(mean) > 1e-3 and counts == {"integrate_1d": 2}
+        # The offset slice's mean and second moment take a call each.
+        assert abs(mean) > 1e-3 and counts == {"integrate_1d": 3}

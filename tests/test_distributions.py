@@ -40,6 +40,12 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(p=1.0, sigma=0.5)
 
+    @pytest.mark.parametrize("p, sigma, name", ((math.inf, 1.0, "p"),
+                                                (1.0, math.inf, "sigma")))
+    def test_non_finite_rejected(self, p, sigma, name):
+        with pytest.raises(ValueError, match=f"^{name} must .* finite"):
+            Params(p=p, sigma=sigma)
+
     def test_from_physical_round_trip(self):
         pr = Params.from_physical(crystal_length=5e-3, pump_wavenumber=1.5e7,
                                   beam_waist=3e-4, plane_z=0.0)
@@ -207,8 +213,9 @@ class TestStructure:
 
 
 class TestSliceStore:
-    """A conditional keeps the slice values of its weight pass, one per
-    node; its pdf reads them back and evaluates everything else afresh."""
+    """A conditional keeps its slice values under each 1-D float64 array it
+    is evaluated on, from its weight pass on; its pdf reads them back and
+    evaluates every other input afresh."""
 
     @staticmethod
     def _weighed_slice(monkeypatch, plane, fixed):
@@ -247,18 +254,46 @@ class TestSliceStore:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
-    def test_only_weight_pass_nodes_are_stored(self, monkeypatch,
+    def test_fresh_array_costs_the_kernel_once(self, monkeypatch,
                                                kernel_points, plane):
         points = kernel_points
         _, cond, nodes = self._weighed_slice(monkeypatch, plane, 0.0)
         points[0] = 0
         cond.pdf(nodes[0])
         assert points[0] == 0
-        # A fresh array costs the kernel every time: the store does not grow.
+        # A fresh 1-D array is stored on its first call, read on its second.
         fresh = np.linspace(-3.0, 3.0, 101)
-        cond.pdf(fresh)
-        cond.pdf(fresh)
-        assert points[0] == 2 * fresh.size
+        first = cond.pdf(fresh)
+        assert points[0] == fresh.size
+        assert cond.pdf(fresh).tobytes() == first.tobytes()
+        assert points[0] == fresh.size
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_other_inputs_are_not_stored(self, monkeypatch, kernel_points,
+                                         plane):
+        points = kernel_points
+        _, cond, nodes = self._weighed_slice(monkeypatch, plane, 0.0)
+        for x in (np.array(0.3), 0.3, nodes[0][:20].reshape(2, -1)):
+            points[0] = 0
+            cond.pdf(x)
+            cond.pdf(x)
+            assert points[0] == 2 * np.size(x)
+
+    def test_stored_arrays_are_read_only(self, monkeypatch):
+        # The weight integral reads the stored arrays themselves.
+        values = []
+        run = distributions.integrate_1d
+
+        def spy(f, *args, **kwargs):
+            def seen(x):
+                values.append(f(x))
+                return values[-1]
+            return run(seen, *args, **kwargs)
+
+        monkeypatch.setattr(distributions, "integrate_1d", spy)
+        conditional_of(make_density("near_field", "spdc", Params(p=1.0), TOL),
+                       0.4, TOL)
+        assert values and not any(y.flags.writeable for y in values)
 
     def test_threads_share_one_slice(self, monkeypatch):
         _, cond, nodes = self._weighed_slice(monkeypatch, "near_field", 0.4)

@@ -112,23 +112,14 @@ class TestNgReport:
         assert (r.var_q_cond, r.var_x_cond) == (cv.var_q_cond, cv.var_x_cond)
 
 
-def _tail_nodes(spec):
-    """``spec`` with a pdf that records its nodes past the oscillatory core
-    about the domain's centre, and the list they go to."""
-    dom = spec.domain
-    xc = math.sqrt(_CORE_PHASE / dom.osc_scale)
-    seen = []
-
-    def pdf(x):
-        seen.append(x[np.abs(x - dom.centre) > xc])
-        return spec.pdf(x)
-
-    return dataclasses.replace(spec, pdf=pdf), seen
-
-
-def _each_once(seen):
-    tail = np.concatenate(seen)
-    return len(tail) > 0 and len(np.unique(tail)) == len(tail)
+def _each_once(nodes, spec, tail_only=False):
+    """Whether the kernel saw each of its recorded nodes once, counting
+    only those past the slice's oscillatory core if ``tail_only``.  The
+    kernel's argument is v = (x - c) / sqrt(2)."""
+    v = np.concatenate(nodes)
+    if tail_only:
+        v = v[np.abs(v) > math.sqrt(_CORE_PHASE / spec.domain.osc_scale / 2.0)]
+    return len(v) > 0 and len(np.unique(v)) == len(v)
 
 
 def _row_integrals(spec):
@@ -139,43 +130,48 @@ def _row_integrals(spec):
                       lambda x: _xlogx(spec.pdf(x)))]
 
 
+def _recorded_slice(kernel_nodes, plane, p, c):
+    """A slice whose kernel records its nodes, and the integrals of
+    ``_row_integrals`` over an unrecorded copy of it."""
+    joint = make_density(plane, "spdc", Params(p=p), TOL)
+    _, record = kernel_nodes
+    return (conditional_of(record(joint), c, TOL),
+            _row_integrals(conditional_of(joint, c, TOL)))
+
+
 class TestSharedSlicePass:
-    """A slice's variance and entropy share one pass over its nodes, each
-    bit for bit its own integral, each tail node evaluated once."""
+    """A slice's weight, variance and entropy integrals share its kept
+    slice values: each is bit for bit its own integral, and each kernel
+    node past the core is evaluated once.  Core nodes may repeat where the
+    passes' bisections part, as the store keys whole node arrays."""
 
     @pytest.mark.parametrize("p", (0.0034, 0.01, 1.0, 99.0))
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
-    def test_origin_slice(self, plane, p):
-        cond = conditional_of(make_density(plane, "spdc", Params(p=p), TOL),
-                              0.0, TOL)
-        spied, seen = _tail_nodes(cond)
-        mean, var, entropy = _pdf_integrals(spied, TOL, entropy=True)
-        _, (m2, _), (v, err) = _row_integrals(cond)
+    def test_origin_slice(self, kernel_nodes, plane, p):
+        cond, (_, (m2, _), (v, err)) = _recorded_slice(kernel_nodes, plane,
+                                                        p, 0.0)
+        mean, var, entropy = _pdf_integrals(cond, TOL, entropy=True)
         assert (mean, var, entropy) == (0.0, m2, (-v / _LN2, err / _LN2))
         assert var == moments_1d(cond, TOL)[1]
         assert entropy == _entropy_with_err(cond, TOL)
-        assert _each_once(seen)
+        assert _each_once(kernel_nodes[0], cond, tail_only=True)
 
-    def test_offset_slice_rows(self):
-        cond = conditional_of(make_density("near_field", "spdc", Params(p=1.0),
-                                           TOL), 0.4, TOL)
-        spied, seen = _tail_nodes(cond)
-
-        def rows(x):
-            p = spied.pdf(x)
-            return np.stack([x * p, x * x * p, _xlogx(p)])
-
-        got = integrate_1d(rows, cond.domain, TOL, seed_points=cond.seeds)
-        assert got == _row_integrals(cond)
-        assert _each_once(seen)
+    def test_offset_slice_rows(self, kernel_nodes):
+        cond, ((m1, _), (m2, _), (v, err)) = _recorded_slice(
+            kernel_nodes, "near_field", 1.0, 0.4)
+        mean, var, entropy = _pdf_integrals(cond, TOL, entropy=True)
+        assert (mean, var, entropy) == (m1, m2 - m1 * m1,
+                                        (-v / _LN2, err / _LN2))
+        assert _each_once(kernel_nodes[0], cond)
 
 
 class TestOnePassPerDensity:
-    """negentropy and moments_1d of a conditional each make one
-    integrate_1d call, whose rows are bit for bit their own integrals."""
+    """negentropy and moments_1d of a P = 1 conditional make one
+    integrate_1d call per integral, each bit for bit its own integral, and
+    the kernel sees each node once across the weight pass and theirs."""
 
     @staticmethod
-    def _spied(monkeypatch, spec):
+    def _calls(monkeypatch):
         calls = []
         run = moments.integrate_1d
 
@@ -184,34 +180,31 @@ class TestOnePassPerDensity:
             return run(*args, **kwargs)
 
         monkeypatch.setattr(moments, "integrate_1d", spy)
-        spied, seen = _tail_nodes(spec)
-        return spied, calls, seen
+        return calls
 
     @pytest.mark.parametrize("c", (0.0, 0.4))
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
-    def test_negentropy(self, monkeypatch, plane, c):
-        cond = conditional_of(make_density(plane, "spdc", Params(p=1.0), TOL),
-                              c, TOL)
-        (m1, _), (m2, _), (v, err) = _row_integrals(cond)
+    def test_negentropy(self, monkeypatch, kernel_nodes, plane, c):
+        cond, ((m1, _), (m2, _), (v, err)) = _recorded_slice(
+            kernel_nodes, plane, 1.0, c)
         var = m2 - m1 * m1 if c else m2
-        spied, calls, seen = self._spied(monkeypatch, cond)
-        n = negentropy(spied, TOL)
-        assert calls == [cond.domain]
+        calls = self._calls(monkeypatch)
+        n = negentropy(cond, TOL)
+        assert calls == [cond.domain] * (3 if c else 2)
         assert (n.h_actual, n.err_estimate) == (-v / _LN2, err / _LN2)
         assert n.h_gaussian == 0.5 * math.log2(2.0 * math.pi * math.e * var)
-        assert _each_once(seen)
+        assert _each_once(kernel_nodes[0], cond)
 
     @pytest.mark.parametrize("c", (0.0, 0.4))
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
-    def test_moments(self, monkeypatch, plane, c):
-        cond = conditional_of(make_density(plane, "spdc", Params(p=1.0), TOL),
-                              c, TOL)
-        (m1, _), (m2, _), _ = _row_integrals(cond)
-        spied, calls, seen = self._spied(monkeypatch, cond)
-        mean, var = moments_1d(spied, TOL)
-        assert calls == [cond.domain]
+    def test_moments(self, monkeypatch, kernel_nodes, plane, c):
+        cond, ((m1, _), (m2, _), _) = _recorded_slice(kernel_nodes, plane,
+                                                      1.0, c)
+        calls = self._calls(monkeypatch)
+        mean, var = moments_1d(cond, TOL)
+        assert calls == [cond.domain] * (2 if c else 1)
         assert (mean, var) == ((m1, m2 - m1 * m1) if c else (0.0, m2))
-        assert _each_once(seen)
+        assert _each_once(kernel_nodes[0], cond)
 
 
 class TestMarginalLimits:
