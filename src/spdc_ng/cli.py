@@ -71,10 +71,10 @@ def _alpha_tag(alpha):
 def _negentropy_cell(plane, form, params, tol):
     spec = make_density(plane, "spdc", params, tol)
     if form == "cond":
-        spec = conditional_of(spec, 0.0, tol)
+        spec = conditional_of(spec)
     elif form == "marg":
-        spec = marginal_of(spec, tol)
-    n = negentropy(spec, tol)
+        spec = marginal_of(spec)
+    n = negentropy(spec)
     return n.value, n.err_estimate
 
 
@@ -96,7 +96,7 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
             vq, vx = gaussian_conditional_variances(a, params)
             out.append(vx * vq)
     elif quantity == "mancini":
-        out += [mancini_product(params, "spdc", tol=tol), 0.0]
+        out += [mancini_product(params, "spdc"), 0.0]
         for a in alphas:
             out.append(mancini_product(params, "gaussian", alpha=a))
     elif quantity == "var_q_norm":
@@ -112,7 +112,7 @@ def _sweep_values(quantity, p, sigma, alphas, tol):
             _, vx = gaussian_conditional_variances(a, params)
             out.append(vx / (p * p))
     elif quantity == "delta_b":
-        out += [delta_b(params, tol), 0.0]
+        out += [delta_b(params), 0.0]
     elif quantity in _NEGENTROPIES:
         planes, form = _NEGENTROPIES[quantity]
         cells = [_negentropy_cell(plane, form, params, tol) for plane in planes]
@@ -201,7 +201,7 @@ def _report_record(p, sigma, tol):
     params = Params(p=p, sigma=sigma)
     rep = ng_report(params, tol)
     epr = rep.var_x_cond * rep.var_q_cond
-    spectrum = symplectic_spectrum(two_mode_cov(params, tol))
+    spectrum = symplectic_spectrum(two_mode_cov(params))
     rec = {"p": p, "sigma": sigma}
     for name in ("n_ff_joint", "n_nf_joint", "ng_total", "n_ff_cond",
                  "n_nf_cond", "ng_cond", "n_ff_marg", "n_nf_marg", "ng_marg",
@@ -211,7 +211,7 @@ def _report_record(p, sigma, tol):
         "epr_product": epr,
         "epr_entangled": epr < 0.25,
         "epr_nongaussian_witness": epr > 0.25,
-        "mancini_product": mancini_product(params, "spdc", tol=tol),
+        "mancini_product": mancini_product(params, "spdc"),
         "delta_b": von_neumann_entropy(spectrum),
         "purity": purity(spectrum),
         "units": {"negentropy": "bits", "delta_b": "nats"},
@@ -274,14 +274,14 @@ FIGURE_IDS = tuple(_FIG_SECTIONS) + tuple(_FIG_SWEEPS)
 def _figure_section(plane, p, sigma, alphas, tol, out_path):
     """Origin-conditional cross-section: spdc curve plus Gaussian overlays."""
     params = Params(p=p, sigma=sigma)
-    spdc = conditional_of(make_density(plane, "spdc", params, tol), 0.0, tol)
-    _, var = moments_1d(spdc, tol)
+    spdc = conditional_of(make_density(plane, "spdc", params, tol))
+    _, var = moments_1d(spdc)
     xs = np.linspace(-5.0 * math.sqrt(var), 5.0 * math.sqrt(var), 201)
     curves = [np.array([spdc(x) for x in xs])]
     cols = ["coord", "spdc"]
     for a in alphas:
         g = conditional_of(make_density(plane, "gaussian", params, tol,
-                                        alpha=a), 0.0, tol)
+                                        alpha=a))
         curves.append(np.array([g(x) for x in xs]))
         cols.append(_alpha_tag(a))
     lines = [_HEADER, ",".join(cols)]
@@ -312,7 +312,7 @@ def _constants_record(tol):
     sc = shape_constants(tol)
     n_small, n_large = marginal_negentropy_limits(tol)
     params = Params(p=1.0)
-    v = two_mode_cov(params, tol)
+    v = two_mode_cov(params)
     nu_minus = symplectic_spectrum(v).nu_minus
     rec = {
         "a1": sc.a1, "a2": sc.a2, "i_ff": sc.i_ff, "i_nf": sc.i_nf,

@@ -37,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from .quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
-from .specfun import shape_constants, sinc, sint
+from .specfun import _A1, _A2, _B1, sinc, sint
 
 __all__ = [
     "Physical",
@@ -186,7 +186,7 @@ class Density1D:
 
     @property
     def tol(self):
-        """The parent's tolerance, the default for integrals over pdf."""
+        """The parent's tolerance, at which every integral over pdf runs."""
         return self.parent.tol if self.parent is not None else QuadTolerance()
 
     def __call__(self, x):
@@ -196,7 +196,9 @@ class Density1D:
 
 def make_density(plane, model, params, tol=None, *, alpha=None):
     """The normalized joint density of ``model`` on ``plane``; its
-    normalization is closed-form, so nothing is integrated."""
+    normalization is closed-form, so nothing is integrated.  ``tol`` is the
+    tolerance of every integral over the joint and the densities built from
+    it."""
     if plane not in PLANES:
         raise ValueError(f"unknown plane {plane!r}")
     if model not in MODELS:
@@ -211,12 +213,11 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
     g_width = 1.0 if plane == "far_field" else params.sigma
 
     if model == "spdc":
-        sc = shape_constants(tol)
         if plane == "far_field":
-            c, shape, z_shape = 0.5 * p * p, sinc, sc.b1
+            c, shape, z_shape = 0.5 * p * p, sinc, _B1
             k_width = math.sqrt(2.0) / p
         else:
-            c, shape, z_shape = 1.0 / (2.0 * p * p), sint, sc.a1
+            c, shape, z_shape = 1.0 / (2.0 * p * p), sint, _A1
             k_width = math.sqrt(2.0) * p
 
         def kernel(v):
@@ -436,17 +437,17 @@ class _MarginalTable:
         return np.clip(out, 0.0, None)
 
 
-def marginal_of(joint, tol=None, origin=None):
+def marginal_of(joint, *, origin=None):
     """The 1-D marginal p(xi2) of a joint density, tabulated once on a
     convolution grid and cross-checked at xi2 = 0 and 0.7 g_width against
-    the weights of the ``conditional_of`` slices there, taken at ``tol``.
+    the weights of the ``conditional_of`` slices there, taken at the
+    joint's tolerance.
 
-    ``origin`` is the joint's origin slice ``conditional_of(joint, 0.0,
-    tol)`` if the caller has it; otherwise the cross-check builds it.
+    ``origin`` is the joint's origin slice ``conditional_of(joint)`` if the
+    caller has it; otherwise the cross-check builds it.
     """
     if not isinstance(joint, Joint):
         raise ValueError("marginal_of expects a joint density")
-    tol = tol or joint.tol
     rt2 = math.sqrt(2.0)
 
     if joint.model == "gaussian":
@@ -465,11 +466,10 @@ def marginal_of(joint, tol=None, origin=None):
                          parent=joint)
 
     osc = joint.kernel_domain.osc_scale * 2.0   # tail m ~ k(sqrt(2) xi2)
-    sc = shape_constants(tol)
     if joint.plane == "far_field":
         var_v = 1.5 / joint.params.p ** 2
     else:
-        var_v = 2.0 * joint.params.p ** 2 * sc.a2 / sc.a1
+        var_v = 2.0 * joint.params.p ** 2 * _A2 / _A1
     var = 0.5 * (0.5 * joint.g_width ** 2 + var_v)
     extent = 11.0 * math.sqrt(var)
     z_cap = math.sqrt(2.0) * 2.0 * max(extent, math.sqrt(_CORE_PHASE / osc))
@@ -480,8 +480,8 @@ def marginal_of(joint, tol=None, origin=None):
 
     # Cross-check the table against two slice weights; a mis-aligned
     # convolution grid would corrupt every downstream entropy.
-    for cond in (origin or conditional_of(joint, 0.0, tol),
-                 conditional_of(joint, 0.7 * joint.g_width, tol)):
+    for cond in (origin or conditional_of(joint),
+                 conditional_of(joint, 0.7 * joint.g_width)):
         direct, derr = (joint.norm * w for w in cond.weight)
         if abs(float(pdf(cond.fixed)) - direct) > \
                 1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
@@ -493,8 +493,9 @@ def marginal_of(joint, tol=None, origin=None):
                      (0.0,), parent=joint, entropy_tail=table.entropy_tail())
 
 
-def conditional_of(joint, fixed_value=0.0, tol=None):
-    """The normalized slice p(xi1 | xi2 = fixed_value) of a joint density.
+def conditional_of(joint, fixed_value=0.0):
+    """The normalized slice p(xi1 | xi2 = fixed_value) of a joint density,
+    its weight integrated at the joint's tolerance.
 
     Its domain is centred on the kernel's peak and phase, xi1 = fixed_value,
     at any slice value; only the origin slice is even.
@@ -502,8 +503,9 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     The slice keeps its unnormalized values, read-only, under the bytes of
     every 1-D float64 array it is evaluated on, by the weight integral or
     later through ``pdf``; an array seen before costs no kernel evaluation.
-    Integrals over the slice's domain share most node arrays (see the
-    quadrature module), so its weight, moments and entropy read one
+    Integrals over the slice's domain at one tolerance share most node
+    arrays (see the quadrature module), and every integral over the slice
+    runs at the joint's, so its weight, moments and entropy read one
     another's values.  Any other input (0-d, a float, 2-D) is evaluated
     afresh and not kept.  ``pdf`` divides by the weight, so every value has
     the same bits either way.  A key always maps to the same bits and dict
@@ -511,7 +513,6 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
     """
     if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")
-    tol = tol or joint.tol
     c = float(fixed_value)
     # The kernel phase about its peak, (P^2/4)(xi1 - c)^2 in the far field.
     osc = joint.kernel_domain.osc_scale / 2.0 if joint.model == "spdc" else None
@@ -541,7 +542,7 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
             stored[key] = y
         return stored[key]
 
-    s, serr = integrate_1d(kept, dom, tol, seed_points=seeds)
+    s, serr = integrate_1d(kept, dom, joint.tol, seed_points=seeds)
     if not (s > 0) or not np.isfinite(s) or s <= 10.0 * serr:
         raise DegenerateSliceError(
             f"marginal vanishes (slice weight {s!r}) at {fixed_value!r}")
@@ -553,24 +554,22 @@ def conditional_of(joint, fixed_value=0.0, tol=None):
                      weight=(s, serr))
 
 
-def gaussian_equivalent(joint, tol=None):
+def gaussian_equivalent(joint):
     """The Gaussian joint density sharing the mean vector and covariance.
 
     The sum-factor is common to both models, so matching reduces to matching
     the difference-factor variance: alpha = 1/3 in the far field (from the
     sinc-shape second-moment ratio 3/4) and alpha = 4*A2/A1 in the near
     field, independent of P in both cases.  A Gaussian joint is its own
-    equivalent.
+    equivalent; the equivalent keeps the joint's tolerance.
     """
     if not isinstance(joint, Joint):
         raise ValueError("gaussian_equivalent expects a joint density")
     if joint.model == "gaussian":
         return joint
-    tol = tol or joint.tol
-    sc = shape_constants(tol)
     if joint.plane == "far_field":
         alpha = 1.0 / 3.0
     else:
-        alpha = 4.0 * sc.a2 / sc.a1
-    return make_density(joint.plane, "gaussian", joint.params, tol,
+        alpha = 4.0 * _A2 / _A1
+    return make_density(joint.plane, "gaussian", joint.params, joint.tol,
                         alpha=alpha)

@@ -18,7 +18,7 @@ from .distributions import (Joint, conditional_of, gaussian_equivalent,
                             make_density, marginal_of)
 from .moments import _LN2, _factor_variances, _pdf_integrals
 from .quadrature import QuadTolerance
-from .specfun import shape_constants
+from .specfun import _A1, _A2, shape_constants
 
 __all__ = [
     "NegentropyValue",
@@ -93,42 +93,40 @@ def _shape_entropy(plane, sc):
     return h, e_i / z / _LN2
 
 
-def _entropy_with_err(spec, tol):
+def _entropy_with_err(spec):
     """Differential entropy in bits with a propagated error estimate."""
     if isinstance(spec, Joint):
-        h_shape, err = (_shape_entropy(spec.plane, shape_constants(tol))
+        h_shape, err = (_shape_entropy(spec.plane, shape_constants(spec.tol))
                         if spec.model == "spdc" else (_H_UNIT_GAUSS, 0.0))
         return (_H_UNIT_GAUSS + math.log2(spec.g_width) + h_shape
                 + math.log2(spec.k_width), err)
-    return _pdf_integrals(spec, tol, moments=False, entropy=True)[2]
+    return _pdf_integrals(spec, moments=False, entropy=True)[2]
 
 
-def differential_entropy(spec, tol=None):
+def differential_entropy(spec):
     """H = -integral p log2 p of a joint or 1-D density, in bits."""
-    tol = tol or spec.tol
-    h, _ = _entropy_with_err(spec, tol)
+    h, _ = _entropy_with_err(spec)
     return h
 
 
-def gaussian_entropy_closed(plane, params, tol=None):
+def gaussian_entropy_closed(plane, params):
     """Entropy (bits) of the covariance-matched Gaussian joint density."""
     p = params.p
     if plane == "far_field":
         return math.log2(math.pi * math.e * math.sqrt(3.0) / p)
     if plane == "near_field":
-        sc = shape_constants(tol)
         return math.log2(2.0 * math.pi * math.e * params.sigma
-                         * math.sqrt(sc.a2 / sc.a1) * p)
+                         * math.sqrt(_A2 / _A1) * p)
     raise ValueError(f"unknown plane {plane!r}")
 
 
-def _negentropy(spec, tol, moment, moment_err, entropy=None):
+def _negentropy(spec, moment, moment_err, entropy=None):
     """Negentropy of ``spec`` given its second moments: the factor
     variances (s2_u, s2_v) of a joint, with the error of s2_v, or the
     variance of a 1-D form, with its error.  The moment's error enters the
     estimate through the matched Gaussian's entropy.  ``entropy`` is the
     density's (entropy, err) in bits if the caller has it already."""
-    h_actual, err = entropy if entropy is not None else _entropy_with_err(spec, tol)
+    h_actual, err = entropy if entropy is not None else _entropy_with_err(spec)
     if isinstance(spec, Joint):
         s2_u, s2_v = moment
         det = s2_u * s2_v   # = var^2 - cov^2 in the original coordinates
@@ -141,9 +139,10 @@ def _negentropy(spec, tol, moment, moment_err, entropy=None):
                            h_gaussian=h_gauss, err_estimate=err)
 
 
-def negentropy(spec, tol=None):
+def negentropy(spec):
     """Negentropy of a joint or 1-D density, with the matched Gaussian
-    sharing the density's own mean and (co)variance.
+    sharing the density's own mean and (co)variance; every integral runs at
+    the density's tolerance.
 
     A joint's ``err_estimate`` is the log-integral shape constant's error
     through its closed-form entropy (0 for a Gaussian kernel), plus that of
@@ -151,15 +150,14 @@ def negentropy(spec, tol=None):
     its entropy integral's plus that of s2_v through its variance; a
     conditional's is its entropy integral's alone.  A conditional's moments
     and entropy share its kept slice values (``moments._pdf_integrals``)."""
-    tol = tol or spec.tol
     if isinstance(spec, Joint):
-        s2_u, s2_v, err = _factor_variances(spec, tol)
-        return _negentropy(spec, tol, (s2_u, s2_v), err)
+        s2_u, s2_v, err = _factor_variances(spec)
+        return _negentropy(spec, (s2_u, s2_v), err)
     if spec.form == "marginal" and spec.parent is not None:
-        s2_u, s2_v, err = _factor_variances(spec.parent, tol)
-        return _negentropy(spec, tol, 0.5 * (s2_u + s2_v), 0.5 * err)
-    _, var, h = _pdf_integrals(spec, tol, entropy=True)
-    return _negentropy(spec, tol, var, 0.0, h)
+        s2_u, s2_v, err = _factor_variances(spec.parent)
+        return _negentropy(spec, 0.5 * (s2_u + s2_v), 0.5 * err)
+    _, var, h = _pdf_integrals(spec, entropy=True)
+    return _negentropy(spec, var, 0.0, h)
 
 
 def _plane_report(plane, params, tol):
@@ -172,13 +170,13 @@ def _plane_report(plane, params, tol):
     and entropy share its kept slice values, as in ``negentropy``.
     """
     joint = make_density(plane, "spdc", params, tol)
-    cond = conditional_of(joint, 0.0, tol)
-    marg = marginal_of(joint, tol, origin=cond)
-    s2_u, s2_v, err_v = _factor_variances(joint, tol)
-    _, var_cond, h_cond = _pdf_integrals(cond, tol, entropy=True)
-    return (_negentropy(joint, tol, (s2_u, s2_v), err_v).value,
-            _negentropy(cond, tol, var_cond, 0.0, h_cond).value,
-            _negentropy(marg, tol, 0.5 * (s2_u + s2_v), 0.5 * err_v).value,
+    cond = conditional_of(joint)
+    marg = marginal_of(joint, origin=cond)
+    s2_u, s2_v, err_v = _factor_variances(joint)
+    _, var_cond, h_cond = _pdf_integrals(cond, entropy=True)
+    return (_negentropy(joint, (s2_u, s2_v), err_v).value,
+            _negentropy(cond, var_cond, 0.0, h_cond).value,
+            _negentropy(marg, 0.5 * (s2_u + s2_v), 0.5 * err_v).value,
             var_cond)
 
 
@@ -237,7 +235,7 @@ def conditional_gaussian_mismatch(plane, params, tol=None):
     """
     tol = tol or QuadTolerance()
     joint = make_density(plane, "spdc", params, tol)
-    matched = gaussian_equivalent(joint, tol)
-    h_g = differential_entropy(conditional_of(matched, 0.0, tol), tol)
-    h_p = differential_entropy(conditional_of(joint, 0.0, tol), tol)
+    matched = gaussian_equivalent(joint)
+    h_g = differential_entropy(conditional_of(matched))
+    h_p = differential_entropy(conditional_of(joint))
     return h_g - h_p

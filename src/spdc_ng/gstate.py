@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import covariance_closed
-from .quadrature import QuadTolerance
 
 __all__ = [
     "TwoModeCov",
@@ -80,14 +79,14 @@ class SymplecticSpectrum:
             raise ValueError("symplectic eigenvalue below the vacuum level")
 
 
-def two_mode_cov(params, tol=None):
+def two_mode_cov(params):
     """Covariance matrix of the two-photon state at the given parameters.
 
     Entries are the closed-form joint covariances: a, c the position ones
     (near field), b, d the momentum ones (far field).
     """
-    x = covariance_closed("near_field", params, tol)
-    q = covariance_closed("far_field", params, tol)
+    x = covariance_closed("near_field", params)
+    q = covariance_closed("far_field", params)
     return TwoModeCov(a=x.var1, c=x.cov, b=q.var1, d=q.cov)
 
 
@@ -138,12 +137,11 @@ def von_neumann_entropy(spectrum: SymplecticSpectrum, base="nats"):
     raise ValueError(f"unknown base {base!r}")
 
 
-def delta_b(params, tol=None, base="nats"):
+def delta_b(params, base="nats"):
     """Relative-entropy non-Gaussianity of the (pure) two-photon state.
 
     Equals the Von Neumann entropy of its covariance-matched Gaussian
     state; independent of P because the symplectic spectrum is.
     """
-    tol = tol or QuadTolerance()
-    return von_neumann_entropy(symplectic_spectrum(two_mode_cov(params, tol)),
+    return von_neumann_entropy(symplectic_spectrum(two_mode_cov(params)),
                                base=base)

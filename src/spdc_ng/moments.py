@@ -29,8 +29,7 @@ from .distributions import (Density1D, Joint, Params, conditional_of,
                             make_density)
 from .quadrature import (_CORE_PHASE, Domain, QuadratureError, QuadTolerance,
                          integrate_1d)
-from .specfun import (_A1, _A2, _SINC_MOMENT_RATIO, _brentq, _xlogx,
-                      shape_constants)
+from .specfun import _A1, _A2, _SINC_MOMENT_RATIO, _brentq, _xlogx
 
 __all__ = [
     "Cov2",
@@ -120,9 +119,9 @@ def _factor_variance(f, dom, z, tol):
     return m2 / z
 
 
-def _factor_variances(joint, tol):
+def _factor_variances(joint):
     """Variances (s2_u, s2_v) of the u and v factors of a joint, and the
-    error estimate of s2_v.
+    error estimate of s2_v, at the joint's tolerance.
 
     s2_u = g_width^2 / 2.  An spdc kernel k(v) = shape(c v^2) has its
     second moment integrated over the core |v| <= sqrt(_CORE_PHASE / c)
@@ -143,7 +142,7 @@ def _factor_variances(joint, tol):
     c = joint.kernel_domain.osc_scale
     xc = math.sqrt(_CORE_PHASE / c)
     core, core_err = integrate_1d(lambda t: t * t * joint.kernel(t),
-                                  Domain.finite(-xc, xc), tol)
+                                  Domain.finite(-xc, xc), joint.tol)
     tails = 2.0 * c ** -1.5
     s2_v = (core + tails * _KERNEL_TAILS[joint.plane]) / joint.zk
     err = (core_err + tails * _KERNEL_TAIL_ERR) / joint.zk
@@ -154,27 +153,26 @@ def _factor_variances(joint, tol):
     return s2_u, s2_v, err
 
 
-def covariance_numeric(joint, tol=None):
+def covariance_numeric(joint):
     """Covariance matrix of a joint density by quadrature of both factors,
     tails included: the oracle of the closed forms and of s2_v's tails."""
     if not isinstance(joint, Joint):
         raise ValueError("covariance_numeric expects a joint density")
-    tol = tol or joint.tol
+    tol = joint.tol
     s2_u = _factor_variance(joint.g, Domain.full_line(), joint.zg, tol)
     s2_v = _factor_variance(joint.kernel, joint.kernel_domain, joint.zk, tol)
     var = 0.5 * (s2_u + s2_v)
     return Cov2(var1=var, var2=var, cov=0.5 * (s2_u - s2_v))
 
 
-def covariance_closed(plane, params, tol=None):
+def covariance_closed(plane, params):
     """Closed-form covariance matrix of the spdc joint on the given plane."""
     p = params.p
     if plane == "far_field":
         var = 0.25 * (1.0 + 3.0 / (p * p))
         cov = 0.25 * (1.0 - 3.0 / (p * p))
     elif plane == "near_field":
-        sc = shape_constants(tol)
-        t2 = 4.0 * sc.a2 / sc.a1 * p * p
+        t2 = 4.0 * _A2 / _A1 * p * p
         s2 = params.sigma ** 2
         var = 0.25 * (s2 + t2)
         cov = 0.25 * (s2 - t2)
@@ -183,16 +181,16 @@ def covariance_closed(plane, params, tol=None):
     return Cov2(var1=var, var2=var, cov=cov)
 
 
-def _pdf_integrals(spec, tol, moments=True, entropy=False):
+def _pdf_integrals(spec, moments=True, entropy=False):
     """(mean, variance, (entropy, err) in bits) of a 1-D form, from one
-    integrate_1d call per integrand x p, x^2 p and p ln p of its pdf; a
-    part not asked for is None.  An origin slice is even: its mean is 0 and
-    x p is not integrated.  The entropy takes a table marginal's
+    integrate_1d call per integrand x p, x^2 p and p ln p of its pdf, at
+    its tolerance; a part not asked for is None.  An origin slice is even:
+    its mean is 0 and x p is not integrated.  The entropy takes a table marginal's
     ``entropy_tail`` as its closed tail.  A conditional's pdf keeps its
     values, so the calls share the kernel values of the node arrays they
     have in common (see ``conditional_of``)."""
     def integral(f, dom=spec.domain):
-        return integrate_1d(f, dom, tol, seed_points=spec.seeds)
+        return integrate_1d(f, dom, spec.tol, seed_points=spec.seeds)
 
     mean = var = h = None
     if moments:
@@ -209,7 +207,7 @@ def _pdf_integrals(spec, tol, moments=True, entropy=False):
     return mean, var, h
 
 
-def moments_1d(spec, tol=None):
+def moments_1d(spec):
     """(mean, variance) of a 1-D density.
 
     Marginals reuse their parent joint's factor variances (exact reduction;
@@ -218,18 +216,17 @@ def moments_1d(spec, tol=None):
     """
     if not isinstance(spec, Density1D):
         raise ValueError("moments_1d expects a 1-D form")
-    tol = tol or spec.tol
     if spec.form == "marginal" and spec.parent is not None:
-        s2_u, s2_v, _ = _factor_variances(spec.parent, tol)
+        s2_u, s2_v, _ = _factor_variances(spec.parent)
         return 0.0, 0.5 * (s2_u + s2_v)
-    mean, var, _ = _pdf_integrals(spec, tol)
+    mean, var, _ = _pdf_integrals(spec)
     return mean, var
 
 
 def _conditional_variance(plane, params, tol):
     """Variance of the spdc origin slice p(xi1 | xi2 = 0) on one plane."""
     joint = make_density(plane, "spdc", params, tol)
-    _, var = moments_1d(conditional_of(joint, 0.0, tol), tol)
+    _, var = moments_1d(conditional_of(joint))
     return var
 
 
@@ -285,7 +282,7 @@ def gaussian_epr_product(alpha, params):
     return _epr_from_variances(var_x, var_q)
 
 
-def mancini_product(params, model="spdc", alpha=None, tol=None):
+def mancini_product(params, model="spdc", alpha=None):
     """Product of the sum-momentum and difference-position variances.
 
     Values below 1 certify non-separability.  For the spdc model the product
@@ -293,8 +290,7 @@ def mancini_product(params, model="spdc", alpha=None, tol=None):
     """
     p2 = params.p ** 2
     if model == "spdc":
-        sc = shape_constants(tol)
-        return 4.0 * (sc.a2 / sc.a1) * p2
+        return 4.0 * (_A2 / _A1) * p2
     if model == "gaussian":
         if alpha is None or not (alpha > 0):
             raise ValueError("gaussian model requires alpha > 0")
@@ -302,10 +298,9 @@ def mancini_product(params, model="spdc", alpha=None, tol=None):
     raise ValueError(f"unknown model {model!r}")
 
 
-def mancini_boundary(tol=None):
+def mancini_boundary():
     """The P at which the spdc sum/difference product reaches 1."""
-    sc = shape_constants(tol)
-    return math.sqrt(sc.a1 / (4.0 * sc.a2))
+    return math.sqrt(_A1 / (4.0 * _A2))
 
 
 def find_epr_crossings(tol=None):

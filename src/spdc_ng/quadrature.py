@@ -48,7 +48,9 @@ Two integrals over one domain and seed points therefore start on the same
 arrays, byte for byte (the initial panels, the first tail blocks), and share
 every later array their refinements share: a caller may keep an integrand's
 values under the bytes of their nodes and read them back in a later integral
-over the same domain, as ``distributions.conditional_of`` does.
+over the same domain, as ``distributions.conditional_of`` does.  That store
+relies on every integral over a density, and over the marginals and slices
+built from it, running at the one tolerance it was made with (``Joint.tol``).
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class QuadTolerance:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
 

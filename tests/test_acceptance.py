@@ -60,10 +60,10 @@ def test_criterion_2_joint_negentropies():
     grid = (0.05, 0.3, 1.0, 2.0)
     checks, totals = [], []
     for p in grid:
-        n_ff = negentropy(make_density("far_field", "spdc", Params(p=p), TOL),
-                          TOL).value
-        n_nf = negentropy(make_density("near_field", "spdc", Params(p=p), TOL),
-                          TOL).value
+        n_ff = negentropy(make_density("far_field", "spdc", Params(p=p),
+                                       TOL)).value
+        n_nf = negentropy(make_density("near_field", "spdc", Params(p=p),
+                                       TOL)).value
         checks.append((f"ff joint at P={p}", _within(n_ff, 0.15, 0.01)))
         checks.append((f"nf joint at P={p}", _within(n_nf, 0.22, 0.01)))
         totals.append(n_ff + n_nf)
@@ -97,7 +97,7 @@ def test_criterion_5_delta_b_pipeline():
     vals = {}
     checks = []
     for p in (0.1, 3.0):
-        v = two_mode_cov(Params(p=p), TOL)
+        v = two_mode_cov(Params(p=p))
         s = symplectic_spectrum(v)
         nus_num = sorted(symplectic_spectrum_numeric(v.matrix))
         nus_ana = sorted((s.nu_plus, s.nu_minus))
@@ -149,8 +149,8 @@ def test_criterion_8_closed_forms():
     for plane in ("far_field", "near_field"):
         for p in (0.1, 0.5, 1.0, 2.0, 5.0):
             num = covariance_numeric(make_density(plane, "spdc", Params(p=p),
-                                                  TOL), TOL)
-            ref = covariance_closed(plane, Params(p=p), TOL)
+                                                  TOL))
+            ref = covariance_closed(plane, Params(p=p))
             ok = (abs(num.var1 - ref.var1) < 1e-5 * max(1.0, ref.var1)
                   and abs(num.var2 - ref.var2) < 1e-5 * max(1.0, ref.var2)
                   and abs(num.cov - ref.cov) < 1e-5 * max(1.0, abs(ref.cov)))
@@ -190,17 +190,17 @@ def test_criterion_9_property_suite():
         zv, _ = integrate_1d(j.kernel, j.kernel_domain, TOL)
         checks.append((f"{plane} joint normalized",
                        _within(j.norm * zu * zv, 1.0, 1e-6)))
-        for spec in (marginal_of(j, TOL), conditional_of(j, 0.3, TOL)):
+        for spec in (marginal_of(j), conditional_of(j, 0.3)):
             v, _ = integrate_1d(spec.pdf, spec.domain, TOL,
                                 seed_points=spec.seeds)
             checks.append((f"{plane} {spec.form} normalized",
                            _within(v, 1.0, 1e-6)))
 
         # Pointwise factorization: joint = conditional * marginal (1e-9 rel).
-        marg = marginal_of(j, TOL)
+        marg = marginal_of(j)
         ok = True
         for x1, x2 in ((0.2, 0.5), (-1.0, 0.8)):
-            lhs = conditional_of(j, x2, TOL)(x1) * marg(x2)
+            lhs = conditional_of(j, x2)(x1) * marg(x2)
             rhs = j(x1, x2)
             ok = ok and abs(lhs - rhs) <= 1e-9 * abs(rhs)
         checks.append((f"{plane} factorization identity", ok))
@@ -211,25 +211,24 @@ def test_criterion_9_property_suite():
                                                      rel=1e-12)))
 
         # Negentropy non-negativity, scale invariance, additivity.
-        n_joint = negentropy(j, TOL).value
-        cond = conditional_of(j, 0.0, TOL)
-        n_cond = negentropy(cond, TOL).value
+        n_joint = negentropy(j).value
+        cond = conditional_of(j, 0.0)
+        n_cond = negentropy(cond).value
         checks.append((f"{plane} negentropy non-negative",
                        n_joint > -1e-8 and n_cond > -1e-8))
         checks.append((f"{plane} scale invariance 1e-6",
-                       all(_within(negentropy(_scaled_spec(cond, a), TOL).value,
+                       all(_within(negentropy(_scaled_spec(cond, a)).value,
                                    n_cond, 1e-6) for a in (0.25, 4.0))))
-        n_sum = (negentropy(_factor_spec(j, "plus"), TOL).value
-                 + negentropy(_factor_spec(j, "minus"), TOL).value)
+        n_sum = (negentropy(_factor_spec(j, "plus")).value
+                 + negentropy(_factor_spec(j, "minus")).value)
         checks.append((f"{plane} additivity on product density 1e-4",
                        _within(n_joint, n_sum, 1e-4)))
 
         # Zero negentropy for every Gaussian-model form (1e-5).
         g = make_density(plane, "gaussian", Params(p=0.7), TOL,
                          alpha=0.72)
-        zero = all(abs(negentropy(s, TOL).value) < 1e-5
-                   for s in (g, conditional_of(g, 0.2, TOL),
-                             marginal_of(g, TOL)))
+        zero = all(abs(negentropy(s).value) < 1e-5
+                   for s in (g, conditional_of(g, 0.2), marginal_of(g)))
         checks.append((f"{plane} gaussian model has zero negentropy", zero))
 
     # ng_marg < ng_total over the full default sweep grid.
@@ -242,8 +241,8 @@ def test_criterion_9_property_suite():
 
 
 def test_criterion_10_mancini():
-    m1 = mancini_product(Params(p=0.6), "spdc", tol=TOL)
-    m2 = mancini_product(Params(p=1.2), "spdc", tol=TOL)
+    m1 = mancini_product(Params(p=0.6), "spdc")
+    m2 = mancini_product(Params(p=1.2), "spdc")
     sc = shape_constants(TOL)
     _verdict(10, [
         ("product = 4 (A2/A1) P^2",
@@ -251,7 +250,7 @@ def test_criterion_10_mancini():
         ("quadratic scaling 1e-9", _within(m2, 4.0 * m1, 1e-9)),
         # sqrt(A1/(4 A2)) = 0.769809 by mpmath (tests/test_oracles.py).
         ("boundary at P = 0.7698 +/- 0.001",
-         _within(mancini_boundary(TOL), 0.7698, 1e-3)),
+         _within(mancini_boundary(), 0.7698, 1e-3)),
     ])
 
 

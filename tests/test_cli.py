@@ -12,8 +12,13 @@ import spdc_ng
 from spdc_ng import distributions, quadrature, specfun
 from spdc_ng.cli import (_FIG_SWEEPS, _grid, _report_record, _sweep_values,
                          main)
-from spdc_ng.distributions import Params, conditional_of, make_density
-from spdc_ng.moments import conditional_variances, moments_1d
+from spdc_ng.distributions import (Params, conditional_of, gaussian_equivalent,
+                                   make_density, marginal_of)
+from spdc_ng.entropy import gaussian_entropy_closed, negentropy
+from spdc_ng.gstate import delta_b, two_mode_cov
+from spdc_ng.moments import (conditional_variances, covariance_closed,
+                             covariance_numeric, mancini_boundary,
+                             mancini_product, moments_1d)
 from spdc_ng.quadrature import QuadratureError, QuadTolerance
 from spdc_ng.specfun import shape_constants
 
@@ -85,9 +90,12 @@ class TestExitCodes:
                      "--p-max", "inf", "--steps", "3"]) == 1
         assert "both finite" in capsys.readouterr().err
 
-    def test_negative_tolerance_is_computation_error(self, capsys):
-        assert _run(["report", "--p", "1.0", "--abs-tol", "-1"]) == 2
-        assert "computation failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("abs_tol", ("-1", "inf"))
+    def test_negative_tolerance_is_computation_error(self, capsys, abs_tol):
+        for command in (["report", "--p", "1.0"], ["constants"]):
+            assert _run(command + ["--abs-tol", abs_tol]) == 2
+            assert ("computation failed: ValueError"
+                    in capsys.readouterr().err)
 
     def test_invalid_rows_give_partial_failure(self, tmp_path):
         # sigma < 1 is rejected per grid point: sentinel rows, exit 3.
@@ -486,7 +494,7 @@ class TestConstructionCounts:
     @pytest.mark.parametrize("model, alpha", (("spdc", None),
                                               ("gaussian", 0.72)))
     def test_joint_integrates_nothing(self, monkeypatch, plane, model, alpha):
-        shape_constants(FAST_TOL)
+        monkeypatch.setattr(specfun, "_cache", {})
         counts = _count_calls(monkeypatch, "integrate_1d")
         make_density(plane, model, Params(p=1.0), FAST_TOL,
                      alpha=alpha)
@@ -495,11 +503,92 @@ class TestConstructionCounts:
     def test_origin_slice_mean_is_not_integrated(self, monkeypatch):
         j = make_density("near_field", "spdc", Params(p=1.0),
                          FAST_TOL)
-        origin = conditional_of(j, 0.0, FAST_TOL)
-        off = conditional_of(j, 0.4, FAST_TOL)
+        origin = conditional_of(j, 0.0)
+        off = conditional_of(j, 0.4)
         counts = _count_calls(monkeypatch, "integrate_1d")
-        mean, _ = moments_1d(origin, FAST_TOL)
+        mean, _ = moments_1d(origin)
         assert mean == 0.0 and counts == {"integrate_1d": 1}
-        mean, _ = moments_1d(off, FAST_TOL)
+        mean, _ = moments_1d(off)
         # The offset slice's mean and second moment take a call each.
         assert abs(mean) > 1e-3 and counts == {"integrate_1d": 3}
+
+
+class TestToleranceScope:
+    """A tolerance is set once, where integration starts: closed forms
+    compute no shape constants, and every integral over a density runs at
+    the density's own tolerance."""
+
+    UNSEEN = QuadTolerance(abs_tol=3e-9, rel_tol=3e-7)
+
+    @staticmethod
+    def _count_constant_sets(monkeypatch):
+        """A one-item list that counts shape-constant sets computed from an
+        empty cache on."""
+        monkeypatch.setattr(specfun, "_cache", {})
+        computed = [0]
+        compute = specfun._compute
+
+        def spy(tol):
+            computed[0] += 1
+            return compute(tol)
+
+        monkeypatch.setattr(specfun, "_compute", spy)
+        return computed
+
+    def test_closed_forms_compute_no_constants(self, monkeypatch):
+        computed = self._count_constant_sets(monkeypatch)
+        params = Params(p=0.7)
+        for plane in ("far_field", "near_field"):
+            joint = make_density(plane, "spdc", params, self.UNSEEN)
+            gaussian_equivalent(joint)
+            covariance_closed(plane, params)
+            gaussian_entropy_closed(plane, params)
+        two_mode_cov(params)
+        delta_b(params)
+        mancini_product(params, "spdc")
+        mancini_boundary()
+        assert computed == [0]
+
+    @pytest.mark.parametrize("command, sets", (
+        *((f"sweep --quantity {q} --steps 2 --threads 1", 0)
+          for q in ("epr", "mancini", "delta_b", "var_q_norm", "var_x_norm")),
+        ("figure 1a --threads 1", 0),
+        ("report --p 1.0", 1),
+        ("constants", 1)))
+    def test_commands_compute_constants_only_to_read_them(
+            self, monkeypatch, tmp_path, command, sets):
+        # Only the joint entropies and the constants record read i_ff and
+        # i_nf, the shape constants that need quadrature.
+        computed = self._count_constant_sets(monkeypatch)
+        argv = command.split() + ["--abs-tol", repr(self.UNSEEN.abs_tol),
+                                  "--rel-tol", repr(self.UNSEEN.rel_tol),
+                                  "--out", str(tmp_path / "out")]
+        assert _run(argv) == 0
+        assert computed == [sets]
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_density_integrals_run_at_its_tolerance(self, monkeypatch, plane):
+        # The shape constants hold their head integrals to a hundredth of
+        # abs_tol by design; they are computed before the spy goes in.
+        shape_constants(FAST_TOL)
+        joint = make_density(plane, "spdc", Params(p=1.0), FAST_TOL)
+        seen = []
+        run = quadrature.integrate_1d
+
+        def spy(f, domain, tol=None, **kwargs):
+            seen.append(tol)
+            return run(f, domain, tol, **kwargs)
+
+        for mod in [m for n, m in list(sys.modules.items())
+                    if m is not None and n.startswith("spdc_ng")]:
+            if vars(mod).get("integrate_1d") is run:
+                monkeypatch.setattr(mod, "integrate_1d", spy)
+        origin = conditional_of(joint)
+        offset = conditional_of(joint, 0.4)
+        marginal = marginal_of(joint, origin=origin)
+        for spec in (origin, offset, marginal):
+            moments_1d(spec)
+            negentropy(spec)
+        negentropy(joint)
+        covariance_numeric(joint)
+        assert len(seen) > 10 and all(t == FAST_TOL for t in seen)

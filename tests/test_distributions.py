@@ -108,9 +108,9 @@ class TestNormalization:
             v, e = integrate_1d(lambda t, f=f, z=z: _xlogx(f(t) / z), dom, TOL)
             h_bits -= v / math.log(2.0)
             err_bits += e / math.log(2.0)
-        h = differential_entropy(j, TOL)
+        h = differential_entropy(j)
         assert abs(h - h_bits) <= err_bits
-        err = negentropy(j, TOL).err_estimate
+        err = negentropy(j).err_estimate
         if model == "spdc":
             z, i = ((4.0 * math.sqrt(math.pi) / 3.0, 2.0 * I_FF_REF)
                     if plane == "far_field" else (A1_REF, I_NF_REF))
@@ -138,7 +138,7 @@ class TestNormalization:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_marginal_and_conditional_normalized(self, plane):
         j = make_density(plane, "spdc", Params(p=1.0), TOL)
-        for spec in (marginal_of(j, TOL), conditional_of(j, 0.4, TOL)):
+        for spec in (marginal_of(j), conditional_of(j, 0.4)):
             v, _ = integrate_1d(spec.pdf, spec.domain, TOL,
                                 seed_points=spec.seeds)
             assert v == pytest.approx(1.0, abs=1e-6)
@@ -154,9 +154,9 @@ class TestStructure:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_factorization_identity(self, plane):
         j = make_density(plane, "spdc", Params(p=1.0), TOL)
-        marg = marginal_of(j, TOL)
+        marg = marginal_of(j)
         for (x1, x2) in ((0.3, 0.4), (1.1, -0.6)):
-            cond = conditional_of(j, x2, TOL)
+            cond = conditional_of(j, x2)
             assert cond(x1) * marg(x2) == pytest.approx(j(x1, x2), rel=1e-9)
 
     def test_marginal_table_matches_direct_quadrature(self):
@@ -165,7 +165,7 @@ class TestStructure:
         from scipy.special import sici
         p = 3.0
         j = make_density("near_field", "spdc", Params(p=p), TOL)
-        m = marginal_of(j, TOL)
+        m = marginal_of(j)
 
         def sint2(y):
             si, _ = sici(y)
@@ -183,7 +183,7 @@ class TestStructure:
         j = make_density("far_field", "gaussian", Params(p=1.0), TOL,
                          alpha=0.72)
         with pytest.raises(DegenerateSliceError):
-            conditional_of(j, 60.0, TOL)
+            conditional_of(j, 60.0)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -193,14 +193,14 @@ class TestStructure:
 
     def test_densities_are_frozen(self):
         j = make_density("far_field", "spdc", Params(p=1.0), TOL)
-        for density in (j, marginal_of(j, TOL), conditional_of(j, 0.4, TOL)):
+        for density in (j, marginal_of(j), conditional_of(j, 0.4)):
             for field in dataclasses.fields(density):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(density, field.name, None)
 
     def test_types_and_forms(self):
         j = make_density("near_field", "spdc", Params(p=1.0), TOL)
-        marg, cond = marginal_of(j, TOL), conditional_of(j, 0.4, TOL)
+        marg, cond = marginal_of(j), conditional_of(j, 0.4)
         assert isinstance(j, Joint) and j.form == "joint"
         assert isinstance(marg, Density1D) and marg.form == "marginal"
         assert isinstance(cond, Density1D) and cond.form == "conditional_at"
@@ -231,7 +231,7 @@ class TestSliceStore:
 
         monkeypatch.setattr(distributions, "integrate_1d", spy)
         j = make_density(plane, "spdc", Params(p=1.0), TOL)
-        return j, conditional_of(j, fixed, TOL), nodes
+        return j, conditional_of(j, fixed), nodes
 
     @staticmethod
     def _fresh_pdf(j, cond, x):
@@ -292,7 +292,7 @@ class TestSliceStore:
 
         monkeypatch.setattr(distributions, "integrate_1d", spy)
         conditional_of(make_density("near_field", "spdc", Params(p=1.0), TOL),
-                       0.4, TOL)
+                       0.4)
         assert values and not any(y.flags.writeable for y in values)
 
     def test_threads_share_one_slice(self, monkeypatch):
@@ -364,9 +364,9 @@ class TestEvenDeclarations:
     def test_kernel_variance_and_origin_slice(self, monkeypatch, plane, p):
         j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
-        _factor_variances(j, TOL)      # its core only: not oscillatory
-        cond = conditional_of(j, 0.0, TOL)
-        negentropy(cond, TOL)          # the slice's entropy and variance
+        _factor_variances(j)      # its core only: not oscillatory
+        cond = conditional_of(j, 0.0)
+        negentropy(cond)          # the slice's entropy and variance
         assert len(calls) == 3
         for f, dom in calls:
             assert dom.even and _bitwise_even(f, _mirror_points(dom))
@@ -376,14 +376,14 @@ class TestEvenDeclarations:
     def test_offset_slice_is_not_even(self, monkeypatch, plane):
         j = make_density(plane, "spdc", Params(p=1.0), TOL)
         calls = _oscillatory_calls(monkeypatch)
-        assert not conditional_of(j, 0.4, TOL).domain.even
+        assert not conditional_of(j, 0.4).domain.even
         assert not calls[0][1].even
 
     @pytest.mark.parametrize("plane, p", PLANE_P)
     def test_marginal_and_its_cross_check(self, monkeypatch, plane, p):
         j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
-        marg = marginal_of(j, TOL)
+        marg = marginal_of(j)
         # The origin slice's weight, the cross-check at x2 = 0, then the
         # cross-check at x2 = 0.7 g_width.
         (f0, dom0), (_, dom1) = calls
@@ -424,7 +424,7 @@ class TestEvenDeclarations:
 def _entropy_tail_setup(plane, p):
     """A spdc marginal, its entropy integrand p ln p, and the scale and
     start of that integral's right tail, as integrate_1d splits it."""
-    marg = marginal_of(make_density(plane, "spdc", Params(p=p), TOL), TOL)
+    marg = marginal_of(make_density(plane, "spdc", Params(p=p), TOL))
     dom = marg.domain
     xc = max(math.sqrt(quadrature._CORE_PHASE / dom.osc_scale), dom.core_extent)
     return marg, (lambda x: _xlogx(marg.pdf(x))), dom.osc_scale, \
@@ -469,7 +469,7 @@ class TestMarginalEntropyTail:
     def test_entropy_stops_at_the_reach(self, monkeypatch, plane, p):
         # No node past the pi-block that holds the reach: in z = sqrt(2) xi2
         # that block ends below z^2 = zmax^2 + 2 pi / osc_scale.
-        marg = marginal_of(make_density(plane, "spdc", Params(p=p), TOL), TOL)
+        marg = marginal_of(make_density(plane, "spdc", Params(p=p), TOL))
         seen = []
         c_of = _MarginalTable.c_of
 
@@ -478,7 +478,7 @@ class TestMarginalEntropyTail:
             return c_of(table, z)
 
         monkeypatch.setattr(_MarginalTable, "c_of", spy)
-        negentropy(marg, TOL)
+        negentropy(marg)
         zmax = seen[0][0]
         z_end = max(z for _, z in seen)
         assert zmax < z_end    # the straddling block reaches past zmax
@@ -486,7 +486,7 @@ class TestMarginalEntropyTail:
 
     def test_antiderivative_is_the_fallback(self):
         j = make_density("far_field", "spdc", Params(p=1.0), TOL)
-        marg = marginal_of(j, TOL)
+        marg = marginal_of(j)
         x_from, big_f = marg.entropy_tail
         x = x_from * np.geomspace(1.0 + 1e-9, 50.0, 200)
         h = 1e-4 * x
@@ -501,9 +501,9 @@ class TestCrossCheck:
     def test_origin_leg_reads_the_slice_weight(self, monkeypatch):
         # marginal_of compares the table at x2 = 0 with norm * s of the
         # origin slice it is given, and at x2 = 0.7 g_width with the weight
-        # of the slice conditional_of integrates there, at the caller's tol.
+        # of the slice conditional_of integrates there, at the joint's tol.
         j = make_density("near_field", "spdc", Params(p=1.0), TOL)
-        origin = conditional_of(j, 0.0, TOL)
+        origin = conditional_of(j, 0.0)
         calls = []
         run = distributions.integrate_1d
 
@@ -512,7 +512,7 @@ class TestCrossCheck:
             return run(f, domain, tol, **kwargs)
 
         monkeypatch.setattr(distributions, "integrate_1d", spy)
-        marg = marginal_of(j, TOL, origin=origin)
+        marg = marginal_of(j, origin=origin)
         assert calls == [(0.7 * j.g_width, TOL)]
         s, serr = origin.weight
         assert 0.0 < serr < 1e-9 * s
@@ -520,15 +520,15 @@ class TestCrossCheck:
         # A leg weight off by 1e-5 is caught.
         cond = distributions.conditional_of
 
-        def off_leg(joint, c, tol):
-            leg = cond(joint, c, tol)
+        def off_leg(joint, c):
+            leg = cond(joint, c)
             s, serr = leg.weight
             return dataclasses.replace(leg, weight=((1.0 + 1e-5) * s, serr))
 
         monkeypatch.setattr(distributions, "conditional_of", off_leg)
         with pytest.raises(MarginalCrossCheckError,
                            match="marginal table disagrees with direct quadrature"):
-            marginal_of(j, TOL, origin=origin)
+            marginal_of(j, origin=origin)
 
     @pytest.mark.parametrize("c", (0.4, 1.5))
     def test_offset_slice_weight_matches_the_table(self, c):
@@ -536,8 +536,8 @@ class TestCrossCheck:
         # outside an oscillatory core about 0 (about 20 P wide); centred on
         # the peak, the slice weight is the marginal m(c) / norm.
         j = make_density("near_field", "spdc", Params(p=0.0034), TOL)
-        s, _ = conditional_of(j, c, TOL).weight
-        assert s == pytest.approx(marginal_of(j, TOL)(c) / j.norm, rel=1e-6)
+        s, _ = conditional_of(j, c).weight
+        assert s == pytest.approx(marginal_of(j)(c) / j.norm, rel=1e-6)
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_scaled_table_is_caught(self, monkeypatch, plane):
@@ -547,7 +547,7 @@ class TestCrossCheck:
                             lambda table, z: (1.0 + 1e-5) * c_of(table, z))
         with pytest.raises(MarginalCrossCheckError,
                            match="marginal table disagrees with direct quadrature"):
-            marginal_of(j, TOL)
+            marginal_of(j)
 
 
 class TestMarginalConvolution:
@@ -622,7 +622,7 @@ class TestMarginalConvolution:
         # what is left is the Taylor remainder and the Gauss-Legendre cells:
         # 9e-13 at order 6, 7e-11 at order 2.
         j = make_density(plane, "spdc", Params(p=p), TOL)
-        table, = _tables_built(monkeypatch, lambda: marginal_of(j, TOL))
+        table, = _tables_built(monkeypatch, lambda: marginal_of(j))
         fine = _fine_table(table, 1.05 * table.z_cap)
         z = np.linspace(-table.z_cap, table.z_cap, 100001)
         scale = np.abs(fine(z)).max()
@@ -634,7 +634,7 @@ class TestMarginalConvolution:
         # The table is built before marginal_of returns and never changes,
         # so concurrent lookups read the same bits as one thread alone.
         j = make_density("near_field", "spdc", Params(p=0.05), TOL)
-        marg = marginal_of(j, TOL)
+        marg = marginal_of(j)
         x = np.linspace(-40.0, 40.0, 400001)
         alone = marg(x)
         start = threading.Barrier(2, timeout=60.0)
@@ -678,7 +678,7 @@ class TestMarginalConvolution:
 
         monkeypatch.setattr(distributions, "_UniformSpline", Recorded)
         j = make_density(plane, "spdc", Params(p=p), TOL)
-        negentropy(marginal_of(j, TOL), TOL)
+        negentropy(marginal_of(j))
         assert len(built) == 1
         for z, y in built:
             _assert_spline_parity(z, y)
@@ -747,7 +747,7 @@ class TestGaussianModel:
     def test_marginal_is_exact_normal(self):
         j = make_density("near_field", "gaussian", Params(p=1.2),
                          TOL, alpha=0.72)
-        m = marginal_of(j, TOL)
+        m = marginal_of(j)
         var = 0.5 * (0.5 * j.g_width ** 2 + 0.5 * j.k_width ** 2)
         x = np.linspace(-4.0, 4.0, 9)
         ref = np.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
@@ -758,23 +758,23 @@ class TestGaussianModel:
         alpha, p = 0.45, 0.8
         j = make_density("far_field", "gaussian", Params(p=p), TOL,
                          alpha=alpha)
-        _, var = moments_1d(conditional_of(j, 0.0, TOL), TOL)
+        _, var = moments_1d(conditional_of(j, 0.0))
         assert var == pytest.approx(1.0 / (1.0 + alpha * p * p), rel=1e-8)
 
     def test_gaussian_equivalent_matches_covariance(self):
         from spdc_ng.moments import covariance_numeric
         for plane in ("far_field", "near_field"):
             j = make_density(plane, "spdc", Params(p=0.9), TOL)
-            g = gaussian_equivalent(j, TOL)
-            cj = covariance_numeric(j, TOL)
-            cg = covariance_numeric(g, TOL)
+            g = gaussian_equivalent(j)
+            cj = covariance_numeric(j)
+            cg = covariance_numeric(g)
             assert cg.var1 == pytest.approx(cj.var1, rel=1e-6)
             assert cg.cov == pytest.approx(cj.cov, rel=1e-5, abs=1e-8)
 
     def test_gaussian_equivalent_of_gaussian_is_itself(self):
         g = make_density("near_field", "gaussian", Params(p=1.0), TOL,
                          alpha=0.72)
-        assert gaussian_equivalent(g, QuadTolerance(1e-8, 1e-6)) is g
+        assert gaussian_equivalent(g) is g
 
 
 def test_star_import_resolves_every_public_name():

@@ -44,31 +44,30 @@ class TestGaussianBaseline:
     def test_zero_negentropy_all_forms(self, plane):
         j = make_density(plane, "gaussian", Params(p=0.8), TOL,
                          alpha=0.72)
-        for spec in (j, conditional_of(j, 0.3, TOL), marginal_of(j, TOL)):
-            assert abs(negentropy(spec, TOL).value) < 1e-5
+        for spec in (j, conditional_of(j, 0.3), marginal_of(j)):
+            assert abs(negentropy(spec).value) < 1e-5
 
     def test_closed_entropy_matches_matched_joint(self):
         for plane in ("far_field", "near_field"):
             j = make_density(plane, "spdc", Params(p=1.3), TOL)
-            h = differential_entropy(gaussian_equivalent(j, TOL), TOL)
-            assert h == pytest.approx(gaussian_entropy_closed(plane,
-                                                              Params(p=1.3),
-                                                              TOL), abs=1e-5)
+            h = differential_entropy(gaussian_equivalent(j))
+            assert h == pytest.approx(
+                gaussian_entropy_closed(plane, Params(p=1.3)), abs=1e-5)
 
 
 class TestNegentropyProperties:
     def test_nonnegative(self):
         for plane in ("far_field", "near_field"):
             j = make_density(plane, "spdc", Params(p=0.9), TOL)
-            for spec in (j, conditional_of(j, 0.0, TOL), marginal_of(j, TOL)):
-                assert negentropy(spec, TOL).value > -1e-8
+            for spec in (j, conditional_of(j, 0.0), marginal_of(j)):
+                assert negentropy(spec).value > -1e-8
 
     def test_scale_invariance(self):
         j = make_density("far_field", "spdc", Params(p=0.7), TOL)
-        cond = conditional_of(j, 0.0, TOL)
-        base = negentropy(cond, TOL).value
+        cond = conditional_of(j, 0.0)
+        base = negentropy(cond).value
         for a in (0.3, 2.0, 7.0):
-            assert negentropy(_scaled_copy(cond, a), TOL).value == \
+            assert negentropy(_scaled_copy(cond, a)).value == \
                 pytest.approx(base, abs=1e-6)
 
     def test_joint_reduces_to_kernel_factor(self):
@@ -78,12 +77,11 @@ class TestNegentropyProperties:
         vspec = Density1D(
             "marginal", lambda v: j.kernel(v) / j.zk,
             Domain.full_line(osc_scale=j.kernel_domain.osc_scale), (0.0,))
-        assert negentropy(j, TOL).value == pytest.approx(
-            negentropy(vspec, TOL).value, abs=1e-6)
+        assert negentropy(j).value == pytest.approx(
+            negentropy(vspec).value, abs=1e-6)
 
     def test_fields_consistent(self):
-        n = negentropy(make_density("near_field", "spdc", Params(p=1.0), TOL),
-                       TOL)
+        n = negentropy(make_density("near_field", "spdc", Params(p=1.0), TOL))
         assert n.value == pytest.approx(n.h_gaussian - n.h_actual, abs=1e-12)
         assert n.err_estimate >= 0
 
@@ -135,8 +133,8 @@ def _recorded_slice(kernel_nodes, plane, p, c):
     ``_row_integrals`` over an unrecorded copy of it."""
     joint = make_density(plane, "spdc", Params(p=p), TOL)
     _, record = kernel_nodes
-    return (conditional_of(record(joint), c, TOL),
-            _row_integrals(conditional_of(joint, c, TOL)))
+    return (conditional_of(record(joint), c),
+            _row_integrals(conditional_of(joint, c)))
 
 
 class TestSharedSlicePass:
@@ -150,16 +148,16 @@ class TestSharedSlicePass:
     def test_origin_slice(self, kernel_nodes, plane, p):
         cond, (_, (m2, _), (v, err)) = _recorded_slice(kernel_nodes, plane,
                                                         p, 0.0)
-        mean, var, entropy = _pdf_integrals(cond, TOL, entropy=True)
+        mean, var, entropy = _pdf_integrals(cond, entropy=True)
         assert (mean, var, entropy) == (0.0, m2, (-v / _LN2, err / _LN2))
-        assert var == moments_1d(cond, TOL)[1]
-        assert entropy == _entropy_with_err(cond, TOL)
+        assert var == moments_1d(cond)[1]
+        assert entropy == _entropy_with_err(cond)
         assert _each_once(kernel_nodes[0], cond, tail_only=True)
 
     def test_offset_slice_rows(self, kernel_nodes):
         cond, ((m1, _), (m2, _), (v, err)) = _recorded_slice(
             kernel_nodes, "near_field", 1.0, 0.4)
-        mean, var, entropy = _pdf_integrals(cond, TOL, entropy=True)
+        mean, var, entropy = _pdf_integrals(cond, entropy=True)
         assert (mean, var, entropy) == (m1, m2 - m1 * m1,
                                         (-v / _LN2, err / _LN2))
         assert _each_once(kernel_nodes[0], cond)
@@ -189,7 +187,7 @@ class TestOnePassPerDensity:
             kernel_nodes, plane, 1.0, c)
         var = m2 - m1 * m1 if c else m2
         calls = self._calls(monkeypatch)
-        n = negentropy(cond, TOL)
+        n = negentropy(cond)
         assert calls == [cond.domain] * (3 if c else 2)
         assert (n.h_actual, n.err_estimate) == (-v / _LN2, err / _LN2)
         assert n.h_gaussian == 0.5 * math.log2(2.0 * math.pi * math.e * var)
@@ -201,7 +199,7 @@ class TestOnePassPerDensity:
         cond, ((m1, _), (m2, _), _) = _recorded_slice(kernel_nodes, plane,
                                                       1.0, c)
         calls = self._calls(monkeypatch)
-        mean, var = moments_1d(cond, TOL)
+        mean, var = moments_1d(cond)
         assert calls == [cond.domain] * (2 if c else 1)
         assert (mean, var) == ((m1, m2 - m1 * m1) if c else (0.0, m2))
         assert _each_once(kernel_nodes[0], cond)
@@ -217,9 +215,9 @@ class TestMarginalLimits:
         n_small, n_large = marginal_negentropy_limits(TOL)
         ff = make_density("far_field", "spdc", Params(p=0.02), TOL)
         nf = make_density("near_field", "spdc", Params(p=9.0), TOL)
-        assert negentropy(marginal_of(ff, TOL), TOL).value == \
+        assert negentropy(marginal_of(ff)).value == \
             pytest.approx(n_small, abs=2e-3)
-        assert negentropy(marginal_of(nf, TOL), TOL).value == \
+        assert negentropy(marginal_of(nf)).value == \
             pytest.approx(n_large, abs=1e-2)
 
 
@@ -231,8 +229,7 @@ class TestJointAtScaleFreeLimit:
 
     @pytest.mark.parametrize("p", (0.0034, 0.01, 1.0, 30.0))
     def test_estimate_covers_gap_to_limit(self, p):
-        n = negentropy(make_density("near_field", "spdc", Params(p=p), TOL),
-                       TOL)
+        n = negentropy(make_density("near_field", "spdc", Params(p=p), TOL))
         _, n_large = marginal_negentropy_limits(TOL)
         assert abs(n.value - n_large) <= n.err_estimate
 
@@ -244,10 +241,10 @@ class TestJointAtScaleFreeLimit:
         # s2_v, and roundoff elsewhere.
         params = Params(p=p)
         j = make_density(plane, "spdc", params, TOL)
-        n = negentropy(j, TOL)
+        n = negentropy(j)
         limit = marginal_negentropy_limits(TOL)[plane == "near_field"]
-        cov = covariance_closed(plane, params, TOL)
-        s2_v = _factor_variances(j, TOL)[1]
+        cov = covariance_closed(plane, params)
+        s2_v = _factor_variances(j)[1]
         excess = 0.5 * math.log2(s2_v / (cov.var1 - cov.cov))
         assert abs(n.value - limit - excess) <= n.err_estimate
 
@@ -275,8 +272,8 @@ def test_benchmark_tracer_names_negentropy_spans_by_form():
         from spdc_ng.quadrature import QuadTolerance
         tol = QuadTolerance(abs_tol=1e-8, rel_tol=1e-6)
         j = d.make_density("far_field", "spdc", d.Params(p=1.0), tol)
-        for spec in (j, d.marginal_of(j, tol), d.conditional_of(j, 0.0, tol)):
-            entropy.negentropy(spec, tol)
+        for spec in (j, d.marginal_of(j), d.conditional_of(j, 0.0)):
+            entropy.negentropy(spec)
         print(*[s[0] for s in tracer.spans
                 if s[0].startswith("entropy.negentropy")])
     """)

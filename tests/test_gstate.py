@@ -19,7 +19,7 @@ class TestTwoModeCov:
     def test_entries_closed_form(self):
         sc = shape_constants(TOL)
         p = 1.0
-        v = two_mode_cov(Params(p=p), TOL)
+        v = two_mode_cov(Params(p=p))
         t2 = 4.0 * sc.a2 / sc.a1 * p * p
         assert v.a == pytest.approx(0.25 * (1.0 + t2), abs=1e-12)
         assert v.c == pytest.approx(0.25 * (1.0 - t2), abs=1e-12)
@@ -30,7 +30,7 @@ class TestTwoModeCov:
         sc = shape_constants(TOL)
         ref = 3.0 * sc.a2 / (4.0 * sc.a1)
         for p in (0.1, 1.0, 5.0):
-            assert two_mode_cov(Params(p=p), TOL).det == pytest.approx(
+            assert two_mode_cov(Params(p=p)).det == pytest.approx(
                 ref, abs=1e-9)
 
     def test_matrix_layout(self):
@@ -46,7 +46,7 @@ class TestTwoModeCov:
 class TestSpectrum:
     @pytest.mark.parametrize("p", (0.1, 1.0, 5.0))
     def test_analytic_matches_numeric(self, p):
-        v = two_mode_cov(Params(p=p), TOL)
+        v = two_mode_cov(Params(p=p))
         s = symplectic_spectrum(v)
         nus_num = sorted(symplectic_spectrum_numeric(v.matrix))
         assert sorted((s.nu_plus, s.nu_minus)) == pytest.approx(nus_num,
@@ -54,7 +54,7 @@ class TestSpectrum:
 
     def test_smaller_eigenvalue_is_vacuum(self):
         for p in (0.3, 1.0, 3.0):
-            s = symplectic_spectrum(two_mode_cov(Params(p=p), TOL))
+            s = symplectic_spectrum(two_mode_cov(Params(p=p)))
             assert s.nu_plus == pytest.approx(0.5, abs=1e-9)
             assert s.nu_minus > 1.0
 
@@ -79,7 +79,7 @@ class TestSpectrum:
 class TestPurityAndEntropy:
     def test_purity_determinant_identity(self):
         for p in (0.2, 1.0, 4.0):
-            v = two_mode_cov(Params(p=p), TOL)
+            v = two_mode_cov(Params(p=p))
             mu = purity(symplectic_spectrum(v))
             assert mu == pytest.approx(1.0 / (4.0 * math.sqrt(v.det)),
                                        abs=1e-9)
@@ -93,14 +93,14 @@ class TestPurityAndEntropy:
 
 class TestDeltaB:
     def test_p_invariant_value(self):
-        ref = delta_b(Params(p=1.0), TOL)
+        ref = delta_b(Params(p=1.0))
         assert ref == pytest.approx(1.0826907, abs=1e-6)
         for p in (0.05, 0.7, 6.0):
-            assert delta_b(Params(p=p), TOL) == pytest.approx(ref, abs=1e-6)
+            assert delta_b(Params(p=p)) == pytest.approx(ref, abs=1e-6)
 
     def test_bases(self):
-        n = delta_b(Params(p=1.0), TOL, base="nats")
-        b = delta_b(Params(p=1.0), TOL, base="bits")
+        n = delta_b(Params(p=1.0), base="nats")
+        b = delta_b(Params(p=1.0), base="bits")
         assert b == pytest.approx(n / math.log(2.0), abs=1e-12)
         with pytest.raises(ValueError):
             von_neumann_entropy(SymplecticSpectrum(0.5, 1.0), base="dits")

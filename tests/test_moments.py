@@ -40,8 +40,8 @@ class TestCovariance:
     @pytest.mark.parametrize("p", (0.1, 0.5, 1.0, 2.0, 5.0))
     def test_closed_vs_numeric(self, plane, p):
         j = make_density(plane, "spdc", Params(p=p), TOL)
-        num = covariance_numeric(j, TOL)
-        ref = covariance_closed(plane, Params(p=p), TOL)
+        num = covariance_numeric(j)
+        ref = covariance_closed(plane, Params(p=p))
         assert num.var1 == pytest.approx(ref.var1, abs=1e-5 * max(1, ref.var1))
         assert num.cov == pytest.approx(ref.cov, abs=1e-5 * max(1, abs(ref.cov)))
 
@@ -98,7 +98,7 @@ class TestKernelVariance:
         monkeypatch.setattr(moments, "integrate_1d", spy)
         monkeypatch.setattr(quadrature, "_tail_blocks",
                             lambda *args: tails.append(args))
-        _, s2_v, _ = moments._factor_variances(j, TOL)
+        _, s2_v, _ = moments._factor_variances(j)
         xc = math.sqrt(32.0 * math.pi / j.kernel_domain.osc_scale)
         assert tails == [] and domains == [Domain.finite(-xc, xc)]
         assert cores == [full_line_core]
@@ -115,7 +115,7 @@ class TestKernelVariance:
         p = 10.0 ** log_p
         j = make_density(plane, "spdc", Params(p=p), TOL)
         try:
-            _, s2_v, err = moments._factor_variances(j, TOL)
+            _, s2_v, err = moments._factor_variances(j)
         except QuadratureError as exc:
             assert plane == "near_field" and p < 0.0034, exc
             assert "kernel variance" in str(exc)
@@ -148,7 +148,7 @@ class TestKernelVariance:
         # lies outside the estimate, so the kernel variance raises.
         j = make_density(plane, "spdc", Params(p=p), tol)
         with pytest.raises(QuadratureError, match="kernel variance"):
-            moments._factor_variances(j, tol)
+            moments._factor_variances(j)
 
 
 class TestConditionalVariances:
@@ -215,20 +215,19 @@ class TestSchmidt:
 
 class TestMancini:
     def test_quadratic_scaling(self):
-        m1 = mancini_product(Params(p=0.7), "spdc", tol=TOL)
-        m2 = mancini_product(Params(p=1.4), "spdc", tol=TOL)
+        m1 = mancini_product(Params(p=0.7), "spdc")
+        m2 = mancini_product(Params(p=1.4), "spdc")
         assert m2 == pytest.approx(4.0 * m1, rel=1e-12)
 
     def test_matches_sum_difference_variances(self):
         # product of var(q1+q2) and var(x1-x2) from the joint factors
         p = Params(p=1.0)
-        ff = covariance_numeric(make_density("far_field", "spdc", p, TOL), TOL)
-        nf = covariance_numeric(make_density("near_field", "spdc", p, TOL),
-                                TOL)
+        ff = covariance_numeric(make_density("far_field", "spdc", p, TOL))
+        nf = covariance_numeric(make_density("near_field", "spdc", p, TOL))
         sum_q = 2.0 * (ff.var1 + ff.cov)
         diff_x = 2.0 * (nf.var1 - nf.cov)
         assert sum_q * diff_x == pytest.approx(
-            mancini_product(p, "spdc", tol=TOL), rel=1e-6)
+            mancini_product(p, "spdc"), rel=1e-6)
 
     def test_gaussian_model(self):
         assert mancini_product(Params(p=2.0), "gaussian", alpha=0.5) == \
@@ -237,6 +236,6 @@ class TestMancini:
             mancini_product(Params(p=1.0), "gaussian")
 
     def test_boundary_is_unit_product(self):
-        pb = mancini_boundary(TOL)
-        assert mancini_product(Params(p=pb), "spdc", tol=TOL) == \
+        pb = mancini_boundary()
+        assert mancini_product(Params(p=pb), "spdc") == \
             pytest.approx(1.0, abs=1e-12)

@@ -638,9 +638,12 @@ class TestFailurePaths:
 
 
 class TestValidation:
-    def test_tolerance_positive(self):
+    @pytest.mark.parametrize("value", (-1e-8, math.inf, math.nan))
+    def test_tolerance_positive(self, value):
         with pytest.raises(ValueError):
-            QuadTolerance(abs_tol=-1e-8)
+            QuadTolerance(abs_tol=value)
+        with pytest.raises(ValueError):
+            QuadTolerance(rel_tol=value)
 
     def test_subdivision_floor(self):
         with pytest.raises(ValueError):
