@@ -61,7 +61,7 @@ class DegenerateSliceError(ValueError):
 
 
 class MarginalCrossCheckError(RuntimeError):
-    """A marginal table disagrees with the weight of a slice through it."""
+    """A marginal table disagrees with its origin slice or its own mass."""
 
 
 @dataclass(frozen=True)
@@ -304,6 +304,9 @@ class _UniformSpline:
         t = (s[:-1] + s[1:] - 2.0 * m) / h
         self._z, self._inv_h = z, 1.0 / h
         self._coef = (y[:-1], s[:-1], (m - s[:-1]) / h - t, t / h)
+        # Exact for a C^1 cubic: the trapezoid sum plus h^2 (s0 - sN) / 12.
+        self.integral = h * (y.sum() - 0.5 * (y[0] + y[-1])) \
+            + h * h * (s[0] - s[-1]) / 12.0
 
     def __call__(self, x):
         z = self._z
@@ -339,10 +342,9 @@ class _MarginalTable:
     1 + 10 s^2/z^2 + 105 s^4/z^4 + ..., s^2 = g_width^2/2, so the fallback
     sits about 2% below the spline at the table edge.  The regions they
     serve carry ~1e-4 of the probability mass.  Past the reach the marginal
-    is exactly A / xi2^4, so ``entropy_tail`` hands the entropy integral the
-    closed antiderivative of m ln m there, and no tail block beyond the
-    reach is evaluated node by node.  The table is immutable, so lookups
-    are thread-safe.
+    is exactly A / xi2^4, which ``entropy_tail`` (the antiderivative of
+    m ln m) and ``mass`` take in closed form.  The table is immutable, so
+    lookups are thread-safe.
     """
 
     _PHASE_SMOOTH = 300.0
@@ -426,6 +428,13 @@ class _MarginalTable:
 
         return self._zmax / rt2, antiderivative
 
+    def mass(self):
+        """norm * integral C dz, 1 for a correct table: the spline's over
+        the reach, the fallback's 2 Zg c_env / (3 osc^2 z_max^3) beyond."""
+        tail = 2.0 * self.joint.zg * self.c_env \
+            / (3.0 * self.osc ** 2 * self._zmax ** 3)
+        return float(self.joint.norm * (self._spline.integral + tail))
+
     def c_of(self, z):
         """C at ``z`` (any shape, 0-d included): the spline within the
         table's reach, evaluated only there, and the average beyond it."""
@@ -439,9 +448,9 @@ class _MarginalTable:
 
 def marginal_of(joint, *, origin=None):
     """The 1-D marginal p(xi2) of a joint density, tabulated once on a
-    convolution grid and cross-checked at xi2 = 0 and 0.7 g_width against
-    the weights of the ``conditional_of`` slices there, taken at the
-    joint's tolerance.
+    convolution grid and cross-checked twice: at xi2 = 0 against the weight
+    of the origin slice, integrated at the joint's tolerance, and over the
+    whole line against its closed-form mass 1 (``_MarginalTable.mass``).
 
     ``origin`` is the joint's origin slice ``conditional_of(joint)`` if the
     caller has it; otherwise the cross-check builds it.
@@ -478,19 +487,21 @@ def marginal_of(joint, *, origin=None):
     def pdf(x):
         return joint.norm * rt2 * table.c_of(rt2 * np.asarray(x, float))
 
-    # Cross-check the table against two slice weights; a mis-aligned
-    # convolution grid would corrupt every downstream entropy.
-    for cond in (origin or conditional_of(joint),
-                 conditional_of(joint, 0.7 * joint.g_width)):
-        direct, derr = (joint.norm * w for w in cond.weight)
-        if abs(float(pdf(cond.fixed)) - direct) > \
-                1e-6 * max(abs(direct), 1e-12) + 10.0 * derr + 1e-12:
-            raise MarginalCrossCheckError(
-                "marginal table disagrees with direct quadrature")
-    return Density1D("marginal", pdf,
-                     Domain.full_line(osc_scale=osc, core_extent=extent,
-                                      even=True),
-                     (0.0,), parent=joint, entropy_tail=table.entropy_tail())
+    # A grid shifted by a cell shows at xi2 = 0 alone, a wrong tail envelope
+    # mostly in the mass; either would corrupt every downstream entropy.
+    origin = origin or conditional_of(joint)
+    direct, derr = (joint.norm * w for w in origin.weight)
+    at, mass = float(pdf(origin.fixed)), table.mass()
+    if abs(at - direct) > 1e-6 * max(direct, 1e-12) + 10.0 * derr + 1e-12:
+        leg = f"origin weight {direct!r}, table {at!r}"
+    elif abs(mass - 1.0) > 1e-6:
+        leg = f"table mass {mass!r}, closed form 1"
+    else:
+        return Density1D("marginal", pdf, Domain.full_line(
+            osc_scale=osc, core_extent=extent, even=True), (0.0,),
+            parent=joint, entropy_tail=table.entropy_tail())
+    raise MarginalCrossCheckError(
+        f"marginal table disagrees with direct quadrature: {leg}")
 
 
 def conditional_of(joint, fixed_value=0.0):

@@ -166,8 +166,9 @@ def _plane_report(plane, params, tol):
 
     Each density is built once and each second moment integrated once: the
     marginal's variance is the mean of its joint's factor variances, and
-    its cross-check reads the origin slice's weight.  The slice's variance
-    and entropy share its kept slice values, as in ``negentropy``.
+    its cross-check reads the origin slice's weight and the table's own
+    mass, so no other slice is integrated.  The slice's variance and
+    entropy share its kept slice values, as in ``negentropy``.
     """
     joint = make_density(plane, "spdc", params, tol)
     cond = conditional_of(joint)

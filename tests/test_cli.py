@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -40,9 +41,16 @@ class TestExitCodes:
         monkeypatch.setattr(distributions._MarginalTable, "c_of",
                             lambda table, z: (1.0 + 1e-5) * c_of(table, z))
         assert _run(["report", "--p", "1.0"] + FAST) == 2
-        assert capsys.readouterr().err == (
+        # The message names the failing leg and gives both of its numbers;
+        # it was the prefix alone before.
+        err = capsys.readouterr().err
+        legs = re.fullmatch(
             "spdc-ng: computation failed: MarginalCrossCheckError: marginal "
-            "table disagrees with direct quadrature\n")
+            "table disagrees with direct quadrature: origin weight (.+), "
+            "table (.+)\n", err)
+        assert legs, err
+        weight, table = map(float, legs.groups())
+        assert table / weight == pytest.approx(1.0 + 1e-5, rel=1e-9)
 
     def test_unknown_quantity_is_usage_error(self, capsys):
         assert _run(["sweep", "--quantity", "bogus"]) == 1
@@ -339,9 +347,9 @@ class TestConstructionCounts:
         counts = _count_calls(monkeypatch, "make_density", "conditional_of",
                               "marginal_of")
         _report_record(1.0, 1.0, FAST_TOL)
-        # Per plane: the origin slice, and the cross-check's slice at
-        # x2 = 0.7 g_width.
-        assert counts == {"make_density": 2, "conditional_of": 4,
+        # Per plane: the origin slice, which the cross-check reads.  The
+        # cross-check's slice at x2 = 0.7 g_width made it 4 before.
+        assert counts == {"make_density": 2, "conditional_of": 2,
                           "marginal_of": 2}
 
     @pytest.mark.parametrize("quantity", ("var_q_norm", "var_x_norm"))
@@ -356,9 +364,9 @@ class TestConstructionCounts:
         counts = _count_calls(monkeypatch, "integrate_1d")
         _report_record(p, 1.0, FAST_TOL)
         # Per plane: the origin slice's weight, variance and entropy, the
-        # 0.7 g_width cross-check, the kernel variance's core and the
-        # marginal entropy.
-        assert counts == {"integrate_1d": 12}
+        # kernel variance's core and the marginal entropy.  12 with the
+        # 0.7 g_width cross-check's slice weight.
+        assert counts == {"integrate_1d": 10}
 
     @pytest.mark.parametrize("p", (0.0034, 0.05, 1.0, 20.0, 99.0))
     def test_report_marginal_table_builds(self, monkeypatch, p):
@@ -375,8 +383,8 @@ class TestConstructionCounts:
         _report_record(p, 1.0, QuadTolerance())
         assert sorted(calls) == [("far_field", True), ("near_field", True)]
 
-    @pytest.mark.parametrize("p, expected", ((0.0034, 717906), (1.0, 34398),
-                                             (99.0, 964002)))
+    @pytest.mark.parametrize("p, expected", ((0.0034, 466362), (1.0, 26694),
+                                             (99.0, 712122)))
     def test_report_integrand_points(self, monkeypatch, p, expected):
         # Oscillatory integrals fold their left tail onto the right, and
         # tail blocks take 15 points.  The kernel variances integrate their
@@ -390,18 +398,21 @@ class TestConstructionCounts:
         # report's tolerance, is a kernel-centred slice at the report's
         # tolerance: 656,226 / 35,406 / 914,702 points before.  Adaptive
         # panels evaluate their 21 distinct nodes, not 22 with the midpoint
-        # twice: 719,602 / 35,406 / 965,714 points before.
+        # twice: 719,602 / 35,406 / 965,714 points before.  The cross-check
+        # checks the table's mass instead of integrating the x2 = 0.7
+        # g_width slice: 717,906 / 34,398 / 964,002 points before.
         shape_constants()
         points = _count_integrand_points(monkeypatch)
         _report_record(p, 1.0, QuadTolerance())
         assert points[0] == expected
 
-    @pytest.mark.parametrize("p, expected", ((0.0034, 643222),
-                                             (1.0, 34934), (99.0, 612064)))
+    @pytest.mark.parametrize("p, expected", ((0.0034, 391678),
+                                             (1.0, 27230), (99.0, 360184)))
     def test_report_kernel_points(self, kernel_points, p, expected):
         # A slice's passes read the slice values kept under every node
         # array an earlier pass evaluated: 769,078 / 40,550 / 737,920
-        # kernel points before.
+        # kernel points before.  No slice is integrated at x2 = 0.7 g_width
+        # for the cross-check: 643,222 / 34,934 / 612,064 before.
         shape_constants()
         _report_record(p, 1.0, QuadTolerance())
         assert kernel_points[0] == expected
@@ -418,9 +429,9 @@ class TestConstructionCounts:
 
     def test_report_integrates_no_loose_origin_leg(self, monkeypatch):
         # Every integral of a report runs at the report's tolerance.  The
-        # cross-check reads the origin slice's weight at x2 = 0 and, at
-        # x2 = 0.7 g_width, the weight of the slice conditional_of
-        # integrates there, centred on its kernel.
+        # cross-check reads the origin slice's weight at x2 = 0 and the
+        # table's own mass, so every integral is centred at 0.  Before, it
+        # integrated a slice centred at x2 = 0.7 g_width on each plane.
         shape_constants()
         tol = QuadTolerance()
         seen = []
@@ -433,8 +444,7 @@ class TestConstructionCounts:
         monkeypatch.setattr(quadrature, "_integrate", spy)
         _report_record(1.0, 1.0, tol)
         assert seen and all(t == tol for _, t in seen)
-        # g_width is 1 on both planes at sigma = 1.
-        assert sorted(c for c, _ in seen if c) == [0.7, 0.7]
+        assert [c for c, _ in seen if c] == []
 
     @pytest.mark.parametrize("p, expected", ((0.1, 21000), (1.0, 11232),
                                              (5.0, 11226)))
@@ -452,7 +462,8 @@ class TestConstructionCounts:
     def test_report_adaptive_core_calls(self, monkeypatch):
         # The cores evaluate their initial panels in one call and bisect in
         # look-ahead batches: 1,182 calls of one panel at a time.
-        # 35 with the integrated x2 = 0 cross-check.
+        # 35 with the integrated x2 = 0 cross-check, 33 with the x2 = 0.7
+        # g_width one.
         shape_constants()
         calls = [0]
         run = quadrature._adaptive_finite
@@ -465,7 +476,7 @@ class TestConstructionCounts:
 
         monkeypatch.setattr(quadrature, "_adaptive_finite", spy)
         _report_record(1.0, 1.0, QuadTolerance())
-        assert calls[0] == 33
+        assert calls[0] == 31
 
     def test_cold_shape_constants_integrate_two(self, monkeypatch):
         # a1, a2, b1 and the sinc moment ratio are closed forms.  The
@@ -482,9 +493,10 @@ class TestConstructionCounts:
                                                  ("var_x_norm", 2),
                                                  ("ng_cond", 6),
                                                  ("ng_total", 2),
-                                                 ("ng_marg", 8)))
+                                                 ("ng_marg", 6)))
     def test_row_integral_count(self, monkeypatch, quantity, calls):
         # A conditional's weight, then one call per moment and entropy.
+        # ng_marg made 8 while its cross-check integrated a second slice.
         shape_constants(FAST_TOL)
         counts = _count_calls(monkeypatch, "integrate_1d")
         _sweep_values(quantity, 1.0, 1.0, (0.72,), FAST_TOL)

@@ -384,11 +384,12 @@ class TestEvenDeclarations:
         j = make_density(plane, "spdc", Params(p=p), TOL)
         calls = _oscillatory_calls(monkeypatch)
         marg = marginal_of(j)
-        # The origin slice's weight, the cross-check at x2 = 0, then the
-        # cross-check at x2 = 0.7 g_width.
-        (f0, dom0), (_, dom1) = calls
-        assert dom0.even and _bitwise_even(f0, _mirror_points(dom0))
-        assert not dom1.even and dom1.centre == 0.7 * j.g_width
+        # The origin slice's weight, the cross-check at x2 = 0, is the one
+        # integral; the mass leg integrates nothing.  Before, a second call
+        # integrated the slice at x2 = 0.7 g_width, which is not even.
+        (f0, dom0), = calls
+        assert dom0.even and dom0.centre == 0.0
+        assert _bitwise_even(f0, _mirror_points(dom0))
         assert marg.domain.even
         x = _mirror_points(marg.domain)
         mirrored = marg(-x)
@@ -498,10 +499,13 @@ class TestMarginalEntropyTail:
 
 
 class TestCrossCheck:
+    CAUGHT = "marginal table disagrees with direct quadrature: "
+
     def test_origin_leg_reads_the_slice_weight(self, monkeypatch):
         # marginal_of compares the table at x2 = 0 with norm * s of the
-        # origin slice it is given, and at x2 = 0.7 g_width with the weight
-        # of the slice conditional_of integrates there, at the joint's tol.
+        # origin slice it is given, and the table's mass with 1, so it
+        # integrates nothing.  It integrated the slice at x2 = 0.7 g_width,
+        # at the joint's tol, before.
         j = make_density("near_field", "spdc", Params(p=1.0), TOL)
         origin = conditional_of(j, 0.0)
         calls = []
@@ -513,22 +517,73 @@ class TestCrossCheck:
 
         monkeypatch.setattr(distributions, "integrate_1d", spy)
         marg = marginal_of(j, origin=origin)
-        assert calls == [(0.7 * j.g_width, TOL)]
+        assert calls == []
         s, serr = origin.weight
         assert 0.0 < serr < 1e-9 * s
         assert marg(0.0) == pytest.approx(j.norm * s, rel=1e-6)
-        # A leg weight off by 1e-5 is caught.
-        cond = distributions.conditional_of
-
-        def off_leg(joint, c):
-            leg = cond(joint, c)
-            s, serr = leg.weight
-            return dataclasses.replace(leg, weight=((1.0 + 1e-5) * s, serr))
-
-        monkeypatch.setattr(distributions, "conditional_of", off_leg)
+        # A table mass off by 1e-5 is caught.  This case was a slice weight
+        # off by 1e-5 at x2 = 0.7 g_width before.
+        mass = _MarginalTable.mass
+        monkeypatch.setattr(_MarginalTable, "mass",
+                            lambda table: (1.0 + 1e-5) * mass(table))
         with pytest.raises(MarginalCrossCheckError,
-                           match="marginal table disagrees with direct quadrature"):
+                           match=self.CAUGHT + "table mass 1.0000"):
             marginal_of(j, origin=origin)
+
+    # The far field does not involve sigma.
+    @pytest.mark.parametrize("plane, sigma", (("far_field", 1.0),
+                                              ("near_field", 1.0),
+                                              ("near_field", 2.0),
+                                              ("near_field", 5.0)))
+    def test_mass_of_a_correct_table(self, monkeypatch, plane, sigma):
+        # Over every 5th lattice point at sigma = 1 and every 20th at
+        # sigma = 2 and 5, |mass - 1| <= 6.0e-8 on both planes, which the
+        # cross-check's bound of 1e-6 never approaches.
+        masses = []
+        for k in (*range(-300, 201, 40), 200):   # P = 10^(k / 100)
+            j = make_density(plane, "spdc", Params(p=10.0 ** (k / 100.0),
+                                                   sigma=sigma), TOL)
+            table, = _tables_built(monkeypatch, lambda: marginal_of(j))
+            masses.append(table.mass())
+        assert np.abs(np.array(masses) - 1.0).max() <= 1e-7
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_shifted_grid_is_caught_at_the_origin(self, monkeypatch, plane):
+        # A table read one cell off its grid keeps its mass; only the origin
+        # leg sees it, as C(0) reads C(H).
+        class Shifted(_UniformSpline):
+            def __init__(self, z, y):
+                super().__init__(z + (z[1] - z[0]), y)
+
+        masses = []
+        mass = _MarginalTable.mass
+
+        def recorded(table):
+            masses.append(mass(table))
+            return masses[-1]
+
+        monkeypatch.setattr(distributions, "_UniformSpline", Shifted)
+        monkeypatch.setattr(_MarginalTable, "mass", recorded)
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
+        with pytest.raises(MarginalCrossCheckError,
+                           match=self.CAUGHT + "origin weight"):
+            marginal_of(j)
+        assert len(masses) == 1 and abs(masses[0] - 1.0) < 1e-7
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_wrong_envelope_is_caught_by_the_mass(self, monkeypatch, plane):
+        # The other plane's averaged envelope moves the kernel's deep tail,
+        # which the Gaussian hides from the origin leg; the mass sees it.
+        class WrongEnvelope(_MarginalTable):
+            def _build(self, zmax):
+                self.c_env = 0.5 + 2.0 / math.pi ** 2 - self.c_env
+                super()._build(zmax)
+
+        monkeypatch.setattr(distributions, "_MarginalTable", WrongEnvelope)
+        j = make_density(plane, "spdc", Params(p=1.0), TOL)
+        with pytest.raises(MarginalCrossCheckError,
+                           match=self.CAUGHT + "table mass"):
+            marginal_of(j)
 
     @pytest.mark.parametrize("c", (0.4, 1.5))
     def test_offset_slice_weight_matches_the_table(self, c):
@@ -546,7 +601,7 @@ class TestCrossCheck:
         monkeypatch.setattr(_MarginalTable, "c_of",
                             lambda table, z: (1.0 + 1e-5) * c_of(table, z))
         with pytest.raises(MarginalCrossCheckError,
-                           match="marginal table disagrees with direct quadrature"):
+                           match=self.CAUGHT + "origin weight"):
             marginal_of(j)
 
 
