@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .distributions import (PLANES, Params, conditional_of, make_density,
-                            marginal_of)
+from .distributions import (PLANES, Params, _check_alpha, conditional_of,
+                            make_density, marginal_of)
 from .entropy import marginal_negentropy_limits, negentropy, ng_report
 from .gstate import (delta_b, purity, symplectic_spectrum, two_mode_cov,
                      von_neumann_entropy)
@@ -244,8 +244,11 @@ def _cmd_report(args):
 def _cmd_sweep(args):
     tol = _tol_from(args)
     alphas = tuple(args.alpha or ())
-    if any(a <= 0 for a in alphas):
-        raise _UsageError("--alpha values must be positive")
+    try:
+        for a in alphas:
+            _check_alpha(a)
+    except ValueError as exc:
+        raise _UsageError(f"--alpha: {exc}") from None
     grid = _grid(args.p_min, args.p_max, args.steps, args.log)
     return _run_sweep_table((args.quantity,), alphas, grid, tol, args)
 

@@ -64,6 +64,13 @@ class MarginalCrossCheckError(RuntimeError):
     """A marginal table disagrees with its origin slice or its own mass."""
 
 
+def _check_alpha(alpha):
+    """Raise ValueError unless a Gaussian model's ``alpha`` is positive and
+    finite."""
+    if alpha is None or not 0 < alpha < math.inf:
+        raise ValueError("gaussian model requires a positive finite alpha")
+
+
 @dataclass(frozen=True)
 class Physical:
     """Physical provenance of the dimensionless parameters (SI units)."""
@@ -204,8 +211,7 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if model == "gaussian":
-        if alpha is None or not (alpha > 0):
-            raise ValueError("gaussian model requires alpha > 0")
+        _check_alpha(alpha)
     elif alpha is not None:
         raise ValueError("alpha applies to the gaussian model only")
     tol = tol or QuadTolerance()

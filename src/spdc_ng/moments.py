@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import (Density1D, Joint, Params, conditional_of,
-                            make_density)
+from .distributions import (Density1D, Joint, Params, _check_alpha,
+                            conditional_of, make_density)
 from .quadrature import (_CORE_PHASE, Domain, QuadratureError, QuadTolerance,
                          integrate_1d)
 from .specfun import _A1, _A2, _SINC_MOMENT_RATIO, _brentq, _xlogx
@@ -245,8 +245,7 @@ def conditional_variances(params, tol=None):
 
 def gaussian_conditional_variances(alpha, params):
     """Origin-slice conditional variances of the Gaussian-alpha model."""
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     ap2 = alpha * params.p ** 2
     s2 = params.sigma ** 2
     var_q = 1.0 / (1.0 + ap2)
@@ -292,8 +291,7 @@ def mancini_product(params, model="spdc", alpha=None):
     if model == "spdc":
         return 4.0 * (_A2 / _A1) * p2
     if model == "gaussian":
-        if alpha is None or not (alpha > 0):
-            raise ValueError("gaussian model requires alpha > 0")
+        _check_alpha(alpha)
         return alpha * p2
     raise ValueError(f"unknown model {model!r}")
 

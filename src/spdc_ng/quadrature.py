@@ -1,4 +1,4 @@
-"""Adaptive 1-D quadrature over finite and unbounded domains.
+"""Adaptive 1-D quadrature over a finite interval or the whole line.
 
 The integrands this library meets fall in three families:
 
@@ -10,25 +10,26 @@ The integrands this library meets fall in three families:
 
 Finite intervals use an adaptive Gauss pair (7- and 15-point Gauss-Legendre,
 21 distinct nodes per panel: the two rules share their midpoint) with
-bisection of the worst panel.  Unbounded domains use an algebraic map to
-a finite interval by default.  For the oscillatory family the map alone is
-hopeless (the number of oscillations up to any useful cutoff exceeds any
-subdivision budget), so :class:`Domain` can carry a quadratic-phase hint: the
-tail is then summed period-by-period in the squared variable and the partial
-sums are extrapolated polynomially in ``K**-0.5`` (``K`` = number of periods),
-which captures the half-integer-power decay of the remainders.  Each block is
-evaluated once, on the 15 nodes of the nested Gauss-Kronrod 7-15 pair (K15
-value, |K15 - G7| error), where the adaptive panels pay 21 nodes for their
-Gauss pair.  Each tail starts with a geometric probe: a tail that extra
-(e.g. Gaussian) damping has killed ends at the first of 64, 128, ... blocks
-that settles it, once its block amplitude has decayed; every other tail
-continues into full rounds with the same blocks and sums as if there were no
-probe.  A full-line domain may declare a ``centre`` x0, and is then
-integrated in x - x0; declared ``even`` (about x0), it sums its right tail
-once and takes it as the left.  A domain that declares a closed
-antiderivative beyond some |x - x0| takes the blocks there from it, with no
-integrand points and rule error 0; the probe, rounds and extrapolation run
-on those block values as on any others.
+bisection of the worst panel, up to ``_MAX_SUBDIVISIONS`` panels.  The whole
+line uses an algebraic map to (-1, 1) by default.  For the oscillatory
+family the map alone is hopeless (the oscillations up to any useful cutoff
+exceed any panel budget), so :class:`Domain` can carry a quadratic-phase
+hint: the line is then a core of panels plus two tails, each summed
+period-by-period in the squared variable, with partial sums extrapolated
+polynomially in ``K**-0.5`` (``K`` periods), which captures the
+half-integer-power decay of the remainders.  Each block is evaluated once,
+on the 15 nodes of the nested Gauss-Kronrod 7-15 pair (K15 value,
+|K15 - G7| error), where the adaptive panels pay 21 nodes for their Gauss
+pair.  Each tail starts with a geometric probe: a tail that extra (e.g.
+Gaussian) damping has killed ends at the first of 64, 128, ... blocks that
+settles it, once its block amplitude has decayed; every other tail continues
+into full rounds with the same blocks and sums as if there were no probe.
+The line may declare a ``centre`` x0, and is then integrated in x - x0;
+declared ``even`` (about x0), it sums its right tail once and takes it as
+the left.  A domain that declares a closed antiderivative beyond some
+|x - x0| takes the blocks there from it, with no integrand points and rule
+error 0; the probe, rounds and extrapolation run on those block values as on
+any others.
 
 The adaptive panels are evaluated in batches: all initial panels in one call
 of the integrand, and on bisection the children of the popped panel together
@@ -76,6 +77,8 @@ _G15_X, _G15_W = leggauss(15)
 _PANEL_X = np.concatenate([_G15_X, _G7_X[:3], _G7_X[4:]])
 _PANEL_G7 = np.array([15, 16, 17, 7, 18, 19, 20])
 
+_MAX_SUBDIVISIONS = 2000    # panels per adaptive core, initial ones included
+
 # Most panels whose children one call of the integrand evaluates during
 # bisection: the popped panel and the next worst ones.  Larger batches save
 # few calls and evaluate more panels that are never popped.
@@ -116,7 +119,7 @@ _CORE_PHASE = 32.0 * math.pi
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an integral does not converge within the panel budget.
+    """Raised when an adaptive core exhausts its ``_MAX_SUBDIVISIONS`` panels.
 
     Carries the partial value and the error estimate reached so far.  The
     estimate is the sum of the panels' |G15 - G7| differences, not a bound:
@@ -135,26 +138,23 @@ class QuadratureError(RuntimeError):
 class QuadTolerance:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_subdivisions < 10:
-            raise ValueError("max_subdivisions must be >= 10")
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Integration domain: finite(a, b), half_line(a), or full_line.
+    """Integration domain finite(a, b) or full_line, checked when built.
 
     ``centre`` x0, full line only, is where the integrand is centred.  Like
     the hints below, which describe f(x0 + t) as a function of t = x - x0,
     it is a property of the integrand: the line is integrated in t.
 
-    ``osc_scale``, when set, declares that the integrand oscillates at
-    infinity with phase ``osc_scale * t**2`` (period ``pi`` in the squared
-    variable), switching the unbounded part to block summation.
+    ``osc_scale``, full line only and positive and finite when set, declares
+    that the integrand oscillates at infinity with phase ``osc_scale * t**2``
+    (period ``pi`` in the squared variable), switching the tails to blocks.
 
     ``even``, full line only, declares that f(x0 - t) == f(x0 + t).  With an
     oscillatory hint the right tail is then summed once and also taken as
@@ -179,20 +179,19 @@ class Domain:
     centre: float = 0.0
 
     def __post_init__(self):
-        if (self.even or self.centre) and self.kind != "full_line":
-            raise ValueError("only a full-line domain can be even or centred")
+        if self.kind not in ("finite", "full_line"):
+            raise ValueError(f"unknown domain kind {self.kind!r}")
+        if self.kind == "finite":
+            if not -math.inf < self.a < self.b < math.inf:
+                raise ValueError("finite domain requires ordered finite bounds a < b")
+            if self.even or self.centre or self.osc_scale is not None:
+                raise ValueError("only a full line can be even, centred or oscillatory")
+        if self.osc_scale is not None and not 0 < self.osc_scale < math.inf:
+            raise ValueError("osc_scale must be positive and finite")
 
     @staticmethod
     def finite(a, b):
-        if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ValueError("finite domain requires ordered finite bounds a < b")
         return Domain("finite", float(a), float(b))
-
-    @staticmethod
-    def half_line(a=0.0, osc_scale=None, core_extent=0.0):
-        if not np.isfinite(a):
-            raise ValueError("half-line origin must be finite")
-        return Domain("half_line", float(a), math.inf, osc_scale, float(core_extent))
 
     @staticmethod
     def full_line(osc_scale=None, core_extent=0.0, even=False, centre=0.0):
@@ -243,7 +242,7 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
 
     children = {}    # (lo, hi) of a panel -> the rules of its two halves
     while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):
-        if count >= tol.max_subdivisions:
+        if count >= _MAX_SUBDIVISIONS:
             raise QuadratureError("quadrature did not converge within max_subdivisions",
                                   total, toterr)
         negerr, lo, hi, v = heapq.heappop(heap)
@@ -287,17 +286,6 @@ def _integrate_mapped_full(f, tol):
         return f(x) * (1.0 + t * t) / (one * one)
 
     return _adaptive_finite(g, -1.0, 1.0, tol)
-
-
-def _integrate_mapped_half(f, a, tol):
-    """Half line [a, inf) via x = a + t/(1-t), t in (0, 1)."""
-
-    def g(t):
-        one = 1.0 - t
-        x = a + t / one
-        return f(x) / (one * one)
-
-    return _adaptive_finite(g, 0.0, 1.0, tol)
 
 
 def _extrapolate_to_zero(us, ss):
@@ -455,34 +443,23 @@ def _tail_blocks(f, scale, y_start, tol, side, antiderivative=None):
 
 
 def _integrate_oscillatory(f, domain, tol, seed_points=()):
-    """Core region by adaptive panels + oscillatory tails by block summation."""
+    """Core [-xc, xc] by adaptive panels + both tails by block summation."""
     scale = domain.osc_scale
-    if not (scale is not None and scale > 0):
-        raise ValueError("oscillatory integration requires a positive osc_scale")
     # The adaptive core must cover both a sensible number of oscillation
     # periods and any smooth (e.g. Gaussian-bulk) structure the caller
     # declared via core_extent; blocks take over beyond it.
     xc = max(math.sqrt(_CORE_PHASE / scale), domain.core_extent)
     y_start = scale * xc * xc
 
-    if domain.kind == "full_line":
-        core, core_err = _adaptive_finite(f, -xc, xc, tol, seed_points=seed_points)
-        right, right_err = _tail_blocks(f, scale, y_start, tol, +1,
-                                        domain.antiderivative)
-        if domain.even:
-            left, left_err = right, right_err
-        else:
-            left, left_err = _tail_blocks(f, scale, y_start, tol, -1,
-                                          domain.antiderivative)
-        return core + left + right, core_err + left_err + right_err
-    if domain.kind == "half_line":
-        if domain.a > xc:
-            raise ValueError("half-line origin beyond the oscillatory core is unsupported")
-        core, core_err = _adaptive_finite(f, domain.a, xc, tol, seed_points=seed_points)
-        right, right_err = _tail_blocks(f, scale, y_start, tol, +1,
-                                        domain.antiderivative)
-        return core + right, core_err + right_err
-    raise ValueError("oscillatory mode applies to unbounded domains only")
+    core, core_err = _adaptive_finite(f, -xc, xc, tol, seed_points=seed_points)
+    right, right_err = _tail_blocks(f, scale, y_start, tol, +1,
+                                    domain.antiderivative)
+    if domain.even:
+        left, left_err = right, right_err
+    else:
+        left, left_err = _tail_blocks(f, scale, y_start, tol, -1,
+                                      domain.antiderivative)
+    return core + left + right, core_err + left_err + right_err
 
 
 def _integrate(f, domain, tol, seed_points):
@@ -494,19 +471,16 @@ def _integrate(f, domain, tol, seed_points):
         seed_points = [p - x0 for p in seed_points]
     if domain.osc_scale is not None:
         return _integrate_oscillatory(f, domain, tol, seed_points=seed_points)
-    if domain.kind == "full_line":
-        return _integrate_mapped_full(f, tol)
-    if domain.kind == "half_line":
-        return _integrate_mapped_half(f, domain.a, tol)
-    raise ValueError(f"unknown domain kind {domain.kind!r}")
+    return _integrate_mapped_full(f, tol)
 
 
 def integrate_1d(f, domain, tol=None, seed_points=()):
     """Integrate vectorized ``f``, one value per node, over ``domain``;
     returns ``(value, err_estimate)``.
 
-    Raises :class:`QuadratureError`, carrying the partial value, if the
-    panel budget is exhausted.  ``seed_points`` mark known narrow features
-    (finite domains and the core region of oscillatory domains only).
+    Raises :class:`QuadratureError`, carrying the partial value, if an
+    adaptive core exhausts its ``_MAX_SUBDIVISIONS`` panels.  ``seed_points``
+    mark known narrow features (finite domains and the core of oscillatory
+    ones only).
     """
     return _integrate(f, domain, tol or QuadTolerance(), seed_points)

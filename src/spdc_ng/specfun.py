@@ -257,9 +257,7 @@ def _log_integral(shape, zeros, amp, tol):
     n_last = max(math.ceil(_tail_reach(0.1 * tol.abs_tol) / math.pi) + 1,
                  _HEAD_LOBES + 1)
     z = zeros(np.arange(_HEAD_LOBES, n_last + 1, dtype=float))
-    head_tol = QuadTolerance(abs_tol=0.01 * tol.abs_tol,
-                             rel_tol=0.01 * tol.abs_tol,
-                             max_subdivisions=tol.max_subdivisions)
+    head_tol = QuadTolerance(abs_tol=0.01 * tol.abs_tol, rel_tol=0.01 * tol.abs_tol)
     lobes = np.sqrt(zeros(np.arange(1, _HEAD_LOBES, dtype=float)))
     head, head_err = integrate_1d(lambda x: _xlogx(shape(x * x) ** 2),
                                   Domain.finite(0.0, math.sqrt(z[0])),
@@ -299,8 +297,7 @@ def _compute(tol):
 def shape_constants(tol=None):
     """The memoized ShapeConstants at the given tolerance."""
     tol = tol or QuadTolerance()
-    key = (tol.abs_tol, tol.rel_tol, tol.max_subdivisions)
     with _cache_lock:
-        if key not in _cache:
-            _cache[key] = _compute(tol)
-        return _cache[key]
+        if tol not in _cache:
+            _cache[tol] = _compute(tol)
+        return _cache[tol]

@@ -1,11 +1,13 @@
-"""Guards on the public signatures: one tolerance per computation."""
+"""Guards on the public signatures: one tolerance per computation, and a
+quadrature surface of two tolerances and two domain kinds."""
 
+import dataclasses
 import inspect
 
 import pytest
 
 import spdc_ng
-from spdc_ng import entropy, moments
+from spdc_ng import Domain, QuadTolerance, entropy, moments
 
 # Functions of a density take no tolerance: they read the density's own.
 DENSITY_FUNCTIONS = {"marginal_of", "conditional_of", "gaussian_equivalent",
@@ -58,3 +60,15 @@ def test_params_level_functions_keep_their_tolerance(name):
 def test_marginal_origin_is_keyword_only():
     origin = _parameters(spdc_ng.marginal_of)["origin"]
     assert origin.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def test_tolerance_is_two_numbers():
+    # The panel budget is a module constant, not a tolerance knob.
+    assert [f.name for f in dataclasses.fields(QuadTolerance)] == ["abs_tol",
+                                                                  "rel_tol"]
+
+
+def test_domain_factories_are_finite_and_full_line():
+    factories = {name for name, attr in vars(Domain).items()
+                 if isinstance(attr, staticmethod)}
+    assert factories == {"finite", "full_line"}

@@ -93,6 +93,15 @@ class TestExitCodes:
         assert (f"computation failed: ValueError: {name} must be"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("alpha", ("0", "-1", "inf", "nan"))
+    @pytest.mark.parametrize("quantity", ("epr", "mancini"))
+    def test_bad_alpha_is_usage_error(self, capsys, quantity, alpha):
+        assert _run(["sweep", "--quantity", quantity, "--alpha", alpha,
+                     "--steps", "2", "--p-min", "1", "--p-max", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("spdc-ng: error: --alpha: gaussian "
+                                     "model requires a positive finite alpha\n")
+
     def test_infinite_p_max_is_usage_error(self, capsys):
         assert _run(["sweep", "--quantity", "mancini", "--p-min", "0.1",
                      "--p-max", "inf", "--steps", "3"]) == 1

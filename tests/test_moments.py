@@ -213,6 +213,25 @@ class TestSchmidt:
             schmidt_number(0.0, 1.0)
 
 
+class TestAlphaCheck:
+    """A Gaussian model's alpha is positive and finite wherever it enters."""
+
+    USES = {
+        "make_density": lambda a: make_density("far_field", "gaussian",
+                                               Params(p=1.0), TOL, alpha=a),
+        "conditional_variances": lambda a: gaussian_conditional_variances(
+            a, Params(p=1.0)),
+        "mancini_product": lambda a: mancini_product(Params(p=1.0),
+                                                     "gaussian", alpha=a),
+    }
+
+    @pytest.mark.parametrize("alpha", (0.0, -1.0, math.inf, math.nan))
+    @pytest.mark.parametrize("use", sorted(USES))
+    def test_rejected(self, use, alpha):
+        with pytest.raises(ValueError, match="positive finite alpha"):
+            self.USES[use](alpha)
+
+
 class TestMancini:
     def test_quadratic_scaling(self):
         m1 = mancini_product(Params(p=0.7), "spdc")

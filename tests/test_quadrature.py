@@ -33,9 +33,9 @@ class TestImproper:
         assert v == pytest.approx(SQRT_PI, abs=1e-10)
         assert abs(v - SQRT_PI) <= max(e, 1e-12)
 
-    def test_exponential_half_line(self):
-        v, _ = integrate_1d(lambda x: np.exp(-x), Domain.half_line(0.0))
-        assert v == pytest.approx(1.0, abs=1e-10)
+    def test_exponential_full_line(self):
+        v, _ = integrate_1d(lambda x: np.exp(-np.abs(x)), Domain.full_line())
+        assert v == pytest.approx(2.0, abs=1e-10)
 
     def test_translation_invariance(self):
         # A narrow bump far from the origin must not be missed.
@@ -48,13 +48,13 @@ class TestImproper:
 class TestOscillatory:
     def test_fresnel_sin(self):
         v, e = integrate_1d(lambda x: np.sin(x * x),
-                            Domain.half_line(0.0, osc_scale=1.0))
-        assert v == pytest.approx(math.sqrt(math.pi / 8.0), abs=1e-6)
+                            Domain.full_line(osc_scale=1.0))
+        assert v == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-6)
 
     def test_fresnel_cos(self):
         v, _ = integrate_1d(lambda x: np.cos(x * x),
-                            Domain.half_line(0.0, osc_scale=1.0))
-        assert v == pytest.approx(math.sqrt(math.pi / 8.0), abs=1e-7)
+                            Domain.full_line(osc_scale=1.0))
+        assert v == pytest.approx(math.sqrt(math.pi / 2.0), abs=1e-7)
 
     def test_sinc_squared_norm(self):
         # integral over R of sinc^2(x^2) dx = 4 sqrt(pi) / 3
@@ -457,7 +457,7 @@ def _sequential_adaptive(f, a, b, tol, seed_points=()):
         count += 1
 
     while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):
-        if count >= tol.max_subdivisions:
+        if count >= quadrature._MAX_SUBDIVISIONS:
             raise QuadratureError("quadrature did not converge within max_subdivisions",
                                   total, toterr)
         negerr, lo, hi, v = heapq.heappop(heap)
@@ -500,12 +500,12 @@ class TestBatchedPanels:
                  Domain.finite(0.0, 2.0), (0.3,)),
         "sint2": (lambda x: sint(x * x) ** 2,
                   Domain.full_line(osc_scale=1.0, even=True), ()),
-        "sinc2_half": (lambda x: sinc(x * x) ** 2,
-                       Domain.half_line(0.0, osc_scale=1.0), ()),
+        "sinc2": (lambda x: sinc(x * x) ** 2,
+                  Domain.full_line(osc_scale=1.0), ()),
         "xlogx_sint2": (lambda x: _xlogx(sint(x * x) ** 2),
                         Domain.full_line(osc_scale=1.0), ()),
         "xlogx_sinc2": (lambda x: _xlogx(sinc(x * x) ** 2),
-                        Domain.half_line(0.0, osc_scale=1.0), ()),
+                        Domain.full_line(osc_scale=1.0), ()),
         "mapped": (lambda x: 1.0 / (1.0 + x * x), Domain.full_line(), ()),
     }
 
@@ -589,10 +589,11 @@ class TestErrorHonesty:
         (lambda x: np.exp(-x * x), Domain.full_line(), SQRT_PI),
         (lambda x: np.exp(-np.abs(x)), Domain.full_line(), 2.0),
         (lambda x: 1.0 / (1.0 + x * x), Domain.full_line(), math.pi),
-        (lambda x: np.exp(-x) * np.sin(x), Domain.half_line(0.0), 0.5),
-        (lambda x: x * np.exp(-x), Domain.half_line(0.0), 1.0),
-        (lambda x: np.sin(x * x), Domain.half_line(0.0, osc_scale=1.0),
-         math.sqrt(math.pi / 8.0)),
+        (lambda x: np.exp(-np.abs(x)) * np.sin(np.abs(x)), Domain.full_line(),
+         1.0),
+        (lambda x: np.abs(x) * np.exp(-np.abs(x)), Domain.full_line(), 2.0),
+        (lambda x: np.sin(x * x), Domain.full_line(osc_scale=1.0),
+         math.sqrt(math.pi / 2.0)),
         (lambda x: np.cos(3.0 * x * x), Domain.full_line(osc_scale=3.0),
          math.sqrt(math.pi / 6.0)),
         (lambda x: x ** 4 * np.exp(-x * x), Domain.full_line(),
@@ -614,13 +615,13 @@ class TestErrorHonesty:
 
 class TestFailurePaths:
     def test_exhausted_budget_raises_with_partial_result(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 10)
         raised = []
         for core in (quadrature._adaptive_finite, _sequential_adaptive):
             monkeypatch.setattr(quadrature, "_adaptive_finite", core)
             with pytest.raises(QuadratureError, match="max_subdivisions") as info:
                 integrate_1d(lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0)),
-                             Domain.finite(0.0, 1.0),
-                             QuadTolerance(max_subdivisions=10))
+                             Domain.finite(0.0, 1.0))
             raised.append(info.value)
         got, ref = raised
         assert math.isfinite(got.value)
@@ -645,10 +646,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             QuadTolerance(rel_tol=value)
 
-    def test_subdivision_floor(self):
-        with pytest.raises(ValueError):
-            QuadTolerance(max_subdivisions=3)
-
     def test_finite_domain_order(self):
         with pytest.raises(ValueError):
             Domain.finite(2.0, 1.0)
+
+
+class TestDomainChecks:
+    """A domain is checked when it is built, not when it is integrated."""
+
+    @pytest.mark.parametrize("kind", ("bogus", "half_line"))
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown domain kind"):
+            Domain(kind, 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", ((2.0, 1.0), (0.0, math.inf),
+                                      (math.nan, 1.0)))
+    def test_finite_bounds(self, a, b):
+        with pytest.raises(ValueError, match="finite bounds"):
+            Domain("finite", a, b)
+
+    def test_only_a_full_line_oscillates(self):
+        with pytest.raises(ValueError, match="oscillatory"):
+            Domain("finite", 0.0, 1.0, osc_scale=1.0)
+
+    @pytest.mark.parametrize("scale", (0.0, -1.0, math.nan, math.inf))
+    def test_osc_scale_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="osc_scale"):
+            Domain.full_line(osc_scale=scale)
