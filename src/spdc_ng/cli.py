@@ -244,6 +244,10 @@ def _cmd_report(args):
 def _cmd_sweep(args):
     tol = _tol_from(args)
     alphas = tuple(args.alpha or ())
+    if alphas and args.quantity not in _ALPHA_AWARE:
+        raise _UsageError(f"--alpha does not apply to --quantity "
+                          f"{args.quantity}; it applies to "
+                          f"{', '.join(sorted(_ALPHA_AWARE))}")
     try:
         for a in alphas:
             _check_alpha(a)

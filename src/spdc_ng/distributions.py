@@ -24,7 +24,8 @@ each is tabulated once, at its full reach, when ``marginal_of`` builds it.
 The kernel is sampled on a fine step, fine enough that the Gaussian spectrum
 kills aliasing from its oscillation, but enters the FFT convolution only
 through the moments of cells about g_width/128 wide.  The table has that
-coarse step and is read through a uniform-grid not-a-knot cubic spline.
+coarse step and is read through a uniform-grid not-a-knot cubic spline,
+which keeps the table's values and slopes alone.
 """
 
 from __future__ import annotations
@@ -141,8 +142,12 @@ class Joint:
     zk: float
 
     def g(self, u):
-        """The sum factor exp(-(u / g_width)^2), on the full line."""
-        return np.exp(-(np.asarray(u, float) / self.g_width) ** 2)
+        """The sum factor exp(-(u / g_width)^2), on the full line, in a
+        buffer of its own."""
+        y = np.asarray(u, float) / self.g_width
+        y **= 2    # a 0-d u gives a numpy scalar, squared by pow as before
+        y = np.negative(y, out=np.asarray(y))
+        return np.exp(y, out=y)
 
     @property
     def zg(self):
@@ -215,7 +220,7 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
     elif alpha is not None:
         raise ValueError("alpha applies to the gaussian model only")
     tol = tol or QuadTolerance()
-    p = params.p
+    p = float(params.p)    # a numpy P would warn where P^2 overflows
     g_width = 1.0 if plane == "far_field" else params.sigma
 
     if model == "spdc":
@@ -223,11 +228,21 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
             c, shape, z_shape = 0.5 * p * p, sinc, _B1
             k_width = math.sqrt(2.0) / p
         else:
-            c, shape, z_shape = 1.0 / (2.0 * p * p), sint, _A1
+            two_p2 = 2.0 * p * p
+            c, shape, z_shape = 1.0 / two_p2 if two_p2 else math.inf, sint, _A1
             k_width = math.sqrt(2.0) * p
+        if not 0 < c < math.inf:
+            phase = "P^2/2" if plane == "far_field" else "1/(2 P^2)"
+            raise ValueError(f"p = {p!r} is out of range: the "
+                             f"{plane.replace('_', ' ')} kernel's phase scale "
+                             f"{phase} must be positive and finite")
 
         def kernel(v):
-            return shape(c * np.asarray(v, float) ** 2) ** 2
+            y = np.asarray(v, float) ** 2
+            y *= c
+            k = shape(y)
+            k **= 2
+            return k
 
         domain = Domain.full_line(osc_scale=c, even=True)
         zk = z_shape / math.sqrt(c)
@@ -265,7 +280,9 @@ def _next_fast_len(n):
 def _convolve_valid(a, b):
     """The "valid" part of the linear convolution of ``a`` with a shorter ``b``."""
     n = _next_fast_len(len(a) + len(b) - 1)
-    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[len(b) - 1:len(a)]
+    spectrum = np.fft.rfft(a, n)
+    spectrum *= np.fft.rfft(b, n)
+    return np.fft.irfft(spectrum, n)[len(b) - 1:len(a)]
 
 
 # r = sqrt(3) - 2 is the root inside the unit circle of r^2 + 4r + 1, so
@@ -282,44 +299,66 @@ _TAYLOR_ORDER = 6
 
 
 class _UniformSpline:
-    """Not-a-knot cubic spline through (z, y) on a uniform grid of N >= 4
-    nodes; the same interpolant as ``CubicSpline(z, y)``, to roundoff.
+    """Not-a-knot cubic spline through y at the N >= 4 nodes
+    z_i = step (i0 + i), i = 0, ..., N - 1; the same interpolant as
+    ``CubicSpline(z, y)``, to roundoff.
 
     The slopes s solve s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / h
     between the not-a-knot end rows.  Convolving the right-hand side with
     the operator's inverse satisfies the interior rows; the two decaying
-    modes r^i and r^(N-1-i) then fit the end rows by a 2x2 solve.  Lookups
-    inside [z[0], z[-1]] find their interval by index arithmetic.
+    modes r^i and r^(N-1-i) then fit the end rows by a 2x2 solve.
+
+    The spline keeps y and s alone.  A lookup inside [z_0, z_(N-1)] finds
+    its interval by index arithmetic and forms that interval's node, its
+    slope m = (y[i+1] - y[i]) / h and its cubic coefficients there, with
+    the operations a coefficient table built from y and s would have used,
+    so every value has the bits of such a table.
     """
 
-    def __init__(self, z, y):
+    def __init__(self, step, i0, y):
         n = len(y)
-        h = (z[-1] - z[0]) / (n - 1)
-        m = np.diff(y) / h
+        self._step, self._i0, self._y = step, i0, y
+        self._z0 = step * i0
+        h = (step * (i0 + n - 1) - self._z0) / (n - 1)
+        self._h, self._inv_h = h, 1.0 / h
+        m = np.diff(y)
+        m /= h
         # The right-hand side starts at node 1 and the inverse at k = -28.
-        s = np.convolve(3.0 * (m[:-1] + m[1:]), _SPLINE_INVERSE)[27:n + 27]
+        rhs = m[:-1] + m[1:]
+        rhs *= 3.0
+        m0, m1, m_2, m_1 = m[0], m[1], m[-2], m[-1]    # all the end rows need
+        del m
+        s = np.convolve(rhs, _SPLINE_INVERSE)[27:n + 27]
+        del rhs
         r, k = _SPLINE_R, min(n, 64)   # |r|^64 < 1e-36: the modes' reach
         mode = r ** np.arange(k)
         far = r ** (n - 1) + 2.0 * r ** (n - 2)   # the other mode's share of an end row
         near = 1.0 + 2.0 * r
-        b0 = 0.5 * (5.0 * m[0] + m[1]) - (s[0] + 2.0 * s[1])
-        b1 = 0.5 * (m[-2] + 5.0 * m[-1]) - (2.0 * s[-2] + s[-1])
+        b0 = 0.5 * (5.0 * m0 + m1) - (s[0] + 2.0 * s[1])
+        b1 = 0.5 * (m_2 + 5.0 * m_1) - (2.0 * s[-2] + s[-1])
         det = near * near - far * far
         s[:k] += (b0 * near - b1 * far) / det * mode
         s[n - k:] += (b1 * near - b0 * far) / det * mode[::-1]
-        t = (s[:-1] + s[1:] - 2.0 * m) / h
-        self._z, self._inv_h = z, 1.0 / h
-        self._coef = (y[:-1], s[:-1], (m - s[:-1]) / h - t, t / h)
+        self._s = s
         # Exact for a C^1 cubic: the trapezoid sum plus h^2 (s0 - sN) / 12.
         self.integral = h * (y.sum() - 0.5 * (y[0] + y[-1])) \
             + h * h * (s[0] - s[-1]) / 12.0
 
     def __call__(self, x):
-        z = self._z
-        i = np.clip(((x - z[0]) * self._inv_h).astype(np.intp), 0, len(z) - 2)
-        t = x - z[i]
-        c0, c1, c2, c3 = (c[i] for c in self._coef)
-        return c0 + t * (c1 + t * (c2 + t * c3))
+        y, s, h = self._y, self._s, self._h
+        i = np.clip(((x - self._z0) * self._inv_h).astype(np.intp), 0,
+                    len(y) - 2)
+        t = x - self._step * (i + self._i0)
+        y0, s0, s1 = y[i], s[i], s[i + 1]
+        m = y[i + 1] - y0
+        m /= h
+        c3 = s0 + s1 - 2.0 * m
+        c3 /= h
+        c2 = m - s0
+        c2 /= h
+        c2 -= c3
+        c3 /= h
+        return y0 + t * (s0 + t * (c2 + t * c3))
 
 
 class _MarginalTable:
@@ -366,29 +405,51 @@ class _MarginalTable:
         self._build(1.05 * z_cap)
 
     def _k_avg(self, v):
-        y = self.osc * np.square(v)
-        return self.c_env / (y * y)
+        """c_env / (osc v^2)^2, in a buffer of its own."""
+        y = np.square(v)
+        y *= self.osc
+        y *= y
+        return np.divide(self.c_env, y, out=y)
 
     def _k_eff(self, v):
-        near = np.abs(v) <= self.v_c
-        out = np.empty_like(v)
-        out[near] = self.joint.kernel(v[near])
-        out[~near] = self._k_avg(v[~near])
-        return out
+        """The kernel where |v| <= v_c and the average k_avg beyond, at v
+        ascending in C order (any shape)."""
+        flat = v.reshape(-1)
+        lo = np.searchsorted(flat, -self.v_c, "left")
+        hi = np.searchsorted(flat, self.v_c, "right")
+        out = np.empty_like(flat)
+        out[lo:hi] = self.joint.kernel(flat[lo:hi])
+        out[:lo] = self._k_avg(flat[:lo])
+        out[hi:] = self._k_avg(flat[hi:])
+        return out.reshape(v.shape)
 
     def _cell_moments(self, centres, h, q, orders):
-        """M_n = h * sum k_eff(c + d) d^n over the q fine nodes of each cell,
-        n < orders; cells wholly beyond v_c integrate the average k_avg by
-        Gauss-Legendre instead."""
-        far = np.abs(centres) - 0.5 * (q - 1) * h > self.v_c
+        """M_n = h * sum k_eff(c + d) d^n over the q fine nodes of each of
+        the ascending cells, n < orders; cells wholly beyond v_c integrate
+        the average k_avg by Gauss-Legendre instead.  At q = 1 every d is 0
+        and the cells are the fine nodes, so M_0 = h k_eff(c)."""
+        if q == 1:
+            moments = self._k_eff(centres)
+            moments *= h
+            return moments[None]
+        # A cell is near while its innermost node c -+ half lies within v_c.
+        half = 0.5 * (q - 1) * h
+        lo = np.searchsorted(centres + half, -self.v_c, "left")
+        hi = np.searchsorted(centres - half, self.v_c, "right")
+
+        def sums(k, cells, nodes, weights):
+            kw = k(cells[:, None] + nodes)
+            kw *= weights
+            return (kw @ np.vander(nodes, orders, True)).T
+
         moments = np.empty((orders, len(centres)))
+        moments[:, lo:hi] = sums(self._k_eff, centres[lo:hi],
+                                 h * (np.arange(q) - 0.5 * (q - 1)),
+                                 np.full(q, h))
         x, wts = np.polynomial.legendre.leggauss(min(q, 8))
-        for sel, nodes, weights, k in (
-                (~far, h * (np.arange(q) - 0.5 * (q - 1)), np.full(q, h),
-                 self._k_eff),
-                (far, 0.5 * q * h * x, 0.5 * q * h * wts, self._k_avg)):
-            kw = k(centres[sel, None] + nodes) * weights
-            moments[:, sel] = (kw @ np.vander(nodes, orders, True)).T
+        far = sums(self._k_avg, np.concatenate([centres[:lo], centres[hi:]]),
+                   0.5 * q * h * x, 0.5 * q * h * wts)
+        moments[:, :lo], moments[:, hi:] = far[:, :lo], far[:, lo:]
         return moments
 
     def _build(self, zmax):
@@ -415,8 +476,8 @@ class _MarginalTable:
             conv += _convolve_valid(moments[k], herm[1] * gv
                                     / (gw ** k * math.factorial(k)))
             herm = (herm[1], 2.0 * t * herm[1] - 2.0 * k * herm[0])
-        z = step * np.arange(-n, n + 1)
-        self._spline = _UniformSpline(z, conv)
+        del moments
+        self._spline = _UniformSpline(step, -n, conv)
         self._zmax = n * step
 
     def entropy_tail(self):
@@ -449,7 +510,7 @@ class _MarginalTable:
         out = np.empty_like(z)
         out[inside] = self._spline(z[inside])
         out[~inside] = self.joint.zg * self._k_avg(z[~inside])
-        return np.clip(out, 0.0, None)
+        return np.clip(out, 0.0, None, out=out)
 
 
 def marginal_of(joint, *, origin=None):
@@ -533,12 +594,17 @@ def conditional_of(joint, fixed_value=0.0):
     c = float(fixed_value)
     # The kernel phase about its peak, (P^2/4)(xi1 - c)^2 in the far field.
     osc = joint.kernel_domain.osc_scale / 2.0 if joint.model == "spdc" else None
+    rt2 = math.sqrt(2.0)
 
     def slice_unnorm(x1):
         x1 = np.asarray(x1, float)
-        u = (x1 + c) / math.sqrt(2.0)
-        v = (x1 - c) / math.sqrt(2.0)
-        return joint.g(u) * joint.kernel(v)
+        u = x1 + c
+        u /= rt2
+        v = x1 - c
+        v /= rt2
+        out = joint.g(u)
+        out *= joint.kernel(v)
+        return out
 
     # Seed the whole Gaussian bulk: at small P the oscillatory core spans
     # thousands of units and a width-one bump between panel nodes would be

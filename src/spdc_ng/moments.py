@@ -192,11 +192,16 @@ def _pdf_integrals(spec, moments=True, entropy=False):
     def integral(f, dom=spec.domain):
         return integrate_1d(f, dom, spec.tol, seed_points=spec.seeds)
 
+    def x2p(x):
+        out = x * x
+        out *= spec.pdf(x)
+        return out
+
     mean = var = h = None
     if moments:
         mean = (integral(lambda x: x * spec.pdf(x))[0] if spec.fixed != 0.0
                 else 0.0)
-        m2, _ = integral(lambda x: x * x * spec.pdf(x))
+        m2, _ = integral(x2p)
         var = m2 - mean * mean
     if entropy:
         dom = spec.domain

@@ -43,6 +43,9 @@ report's integrand points.
 
 All integrand callables must accept numpy arrays (vectorized evaluation) and
 act pointwise: a point's value may not depend on the other points of the call.
+The engine never writes into a node array it has handed to an integrand, nor
+into an array an integrand returns: an integrand may keep either, or return
+a read-only array, and find it unchanged.
 The node arrays a call hands its integrand depend only on the domain, the
 seed points, the tolerance and the values the integrand has returned so far.
 Two integrals over one domain and seed points therefore start on the same
@@ -321,11 +324,19 @@ def _block_rules(f, scale, y0_first, k, side, antiderivative=None):
     y = y0[:n_open] + h * (_K15_X[None, :] + 1.0)
     vals = np.empty_like(y)
     if n_open:
-        x = side * np.sqrt(y / scale)
+        x = y / scale
+        np.sqrt(x, out=x)
+        x *= side
         vals = np.asarray(f(x.ravel()), dtype=float).reshape(y.shape)
-    vals = vals / (2.0 * np.sqrt(scale * y))    # times dx/dy
-    b15 = h * (vals * _K15_W[None, :]).sum(axis=1)
+    # vals times dx/dy = 1 / (2 sqrt(scale y)), into y's buffer: vals and
+    # the nodes x belong to the integrand.
+    y *= scale
+    np.sqrt(y, out=y)
+    y *= 2.0
+    vals = np.divide(vals, y, out=y)
     b7 = h * (vals[:, 1::2] * _K15_G7_W[None, :]).sum(axis=1)
+    vals *= _K15_W[None, :]
+    b15 = h * vals.sum(axis=1)
     if n_open == len(k):
         return b15, b7, None
     # One array of edges: each block ends where the next one starts.

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_EPS = np.finfo(float).eps    # np.sinc's stand-in for a zero argument
+
+
 def _check_finite(x):
     if not np.all(np.isfinite(x)):
         raise ValueError("argument must be finite")
@@ -41,7 +44,13 @@ def sinc(x):
     """sin(x)/x with the removable singularity at 0. Accepts arrays."""
     x = np.asarray(x, dtype=float)
     _check_finite(x)
-    out = np.sinc(x / np.pi)
+    # np.sinc(x / pi) step by step, in two buffers of its own (a 0-d x
+    # too): y = pi (x / pi), eps where y is 0, then sin(y) / y.
+    y = np.divide(x, np.pi, out=np.empty_like(x))
+    y *= np.pi
+    np.copyto(y, _EPS, where=y == 0)
+    out = np.sin(y)
+    out /= y
     return float(out) if out.ndim == 0 else out
 
 
@@ -63,8 +72,9 @@ def sint(x):
     _check_finite(x)
     if np.any(x < 0):
         raise ValueError("sint is defined for non-negative arguments only")
-    si, _ = sici(x)
-    out = 1.0 - (2.0 / math.pi) * si
+    si, _ = sici(x, out=(np.empty_like(x), np.empty_like(x)))
+    si *= 2.0 / math.pi
+    out = np.subtract(1.0, si, out=si)
     return float(out) if out.ndim == 0 else out
 
 
@@ -143,10 +153,12 @@ def _brentq(f, a, b, xtol):
 
 
 def _xlogx(p):
-    """p*ln(p) with the p -> 0 limit; p is a non-negative array."""
+    """p*ln(p) with the p -> 0 limit; p is a non-negative array.  The
+    result is a buffer of its own; p is only read."""
     out = np.zeros_like(p)
     mask = p > 1e-300
-    out[mask] = p[mask] * np.log(p[mask])
+    np.log(p, out=out, where=mask)
+    np.multiply(p, out, out=out, where=mask)
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spdc_ng
-from spdc_ng import distributions, quadrature, specfun
+from spdc_ng import cli, distributions, quadrature, specfun
 from spdc_ng.cli import (_FIG_SWEEPS, _grid, _report_record, _sweep_values,
                          main)
 from spdc_ng.distributions import (Params, conditional_of, gaussian_equivalent,
@@ -92,6 +92,35 @@ class TestExitCodes:
         assert _run(["report"] + args + FAST) == 2
         assert (f"computation failed: ValueError: {name} must be"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("p", ("1e200", "1e-200"))
+    def test_p_out_of_the_kernels_range_names_p(self, capsys, tmp_path, p):
+        # The far-field phase scale P^2/2 overflows at 1e200 and underflows
+        # at 1e-200; the message names p, not an integration hint.
+        message = (f"ValueError: p = {float(p)!r} is out of range: the far "
+                   "field kernel's phase scale P^2/2 must be positive and "
+                   "finite")
+        assert _run(["report", "--p", p] + FAST) == 2
+        assert capsys.readouterr().err == \
+            f"spdc-ng: computation failed: {message}\n"
+        out = tmp_path / "s.csv"
+        assert _run(["sweep", "--quantity", "ng_marg", "--p-min", p,
+                     "--p-max", f"{2 * float(p)!r}", "--steps", "2",
+                     "--threads", "1", "--out", str(out)] + FAST) == 3
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 2 and rows[0].endswith(message)
+
+    @pytest.mark.parametrize("quantity", sorted(set(cli._QUANTITIES)
+                                                - cli._ALPHA_AWARE))
+    def test_alpha_on_a_quantity_without_overlays_is_usage_error(
+            self, capsys, quantity):
+        assert _run(["sweep", "--quantity", quantity, "--alpha", "0.5",
+                     "--steps", "2", "--p-min", "1", "--p-max", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"spdc-ng: error: --alpha does not apply to --quantity "
+            f"{quantity}; it applies to epr, mancini, var_q_norm, "
+            "var_x_norm\n")
 
     @pytest.mark.parametrize("alpha", ("0", "-1", "inf", "nan"))
     @pytest.mark.parametrize("quantity", ("epr", "mancini"))

@@ -3,9 +3,11 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,6 +47,17 @@ class TestParams:
     def test_non_finite_rejected(self, p, sigma, name):
         with pytest.raises(ValueError, match=f"^{name} must .* finite"):
             Params(p=p, sigma=sigma)
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("p", (1e200, 1e-200))
+    def test_phase_scale_out_of_range_names_p(self, plane, p):
+        # P^2/2 (far field) or 1/(2 P^2) (near field) overflows to inf or
+        # underflows to 0 long before P does.
+        phase = "P^2/2" if plane == "far_field" else "1/(2 P^2)"
+        with pytest.raises(ValueError, match=re.escape(
+                f"p = {p!r} is out of range: the {plane.replace('_', ' ')} "
+                f"kernel's phase scale {phase} must be positive and finite")):
+            make_density(plane, "spdc", Params(p=p))
 
     def test_from_physical_round_trip(self):
         pr = Params.from_physical(crystal_length=5e-3, pump_wavenumber=1.5e7,
@@ -552,8 +565,8 @@ class TestCrossCheck:
         # A table read one cell off its grid keeps its mass; only the origin
         # leg sees it, as C(0) reads C(H).
         class Shifted(_UniformSpline):
-            def __init__(self, z, y):
-                super().__init__(z + (z[1] - z[0]), y)
+            def __init__(self, step, i0, y):
+                super().__init__(step, i0 + 1, y)
 
         masses = []
         mass = _MarginalTable.mass
@@ -630,16 +643,18 @@ class TestMarginalConvolution:
                         / j.kernel_domain.osc_scale)
         table = _MarginalTable(dataclasses.replace(j, kernel=spy),
                                z_cap=2.0 * v_c + 1.0)
-        step = table._spline._z[1] - table._spline._z[0]
-        assert seen and np.abs(np.concatenate(seen)).max() <= v_c + step
-        seen.clear()
+        assert seen and np.abs(np.concatenate(seen)).max() \
+            <= v_c + table._spline._step
         v = (2.0 * v_c / 5000.0) * np.arange(-5000, 5001)
         former = np.where(np.abs(v) <= v_c, j.kernel(v),
                           table._k_avg(np.where(np.abs(v) > v_c, v, v_c)))
+        masked = _masked_k_eff(table, v)
+        seen.clear()
         out = table._k_eff(v)
         assert np.abs(np.concatenate(seen)).max() <= v_c
         assert sum(map(len, seen)) == np.count_nonzero(np.abs(v) <= v_c)
         assert np.array_equal(out.view(np.int64), former.view(np.int64))
+        assert np.array_equal(out.view(np.int64), masked.view(np.int64))
 
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_c_of_evaluates_spline_inside_reach_only(self, monkeypatch,
@@ -682,7 +697,8 @@ class TestMarginalConvolution:
         z = np.linspace(-table.z_cap, table.z_cap, 100001)
         scale = np.abs(fine(z)).max()
         assert np.abs(table.c_of(z) - fine(z)).max() <= 1e-9 * scale
-        nodes = table._spline._z[np.abs(table._spline._z) <= table.z_cap]
+        nodes = _nodes(table._spline)
+        nodes = nodes[np.abs(nodes) <= table.z_cap]
         assert np.abs(table.c_of(nodes) - fine(nodes)).max() <= 1e-11 * scale
 
     def test_marginal_lookups_are_thread_safe(self):
@@ -716,8 +732,7 @@ class TestMarginalConvolution:
         # sees the same uniform grid.  On a general step its spacings differ
         # by ulps of |z|, which noise data amplify to ~1e-10 at 1e6 nodes.
         rng = np.random.default_rng(n)
-        z = 0.125 * np.arange(-(n // 2), n - n // 2)
-        _assert_spline_parity(z, rng.standard_normal(n))
+        _assert_spline_parity(0.125, -(n // 2), rng.standard_normal(n))
 
     @pytest.mark.parametrize("plane, p", [(plane, p) for plane in
                                           ("far_field", "near_field")
@@ -727,16 +742,75 @@ class TestMarginalConvolution:
         built = []
 
         class Recorded(_UniformSpline):
-            def __init__(self, z, y):
-                super().__init__(z, y)
-                built.append((z, y))
+            def __init__(self, step, i0, y):
+                super().__init__(step, i0, y)
+                built.append((step, i0, y))
 
         monkeypatch.setattr(distributions, "_UniformSpline", Recorded)
         j = make_density(plane, "spdc", Params(p=p), TOL)
         negentropy(marginal_of(j))
         assert len(built) == 1
-        for z, y in built:
-            _assert_spline_parity(z, y)
+        for step, i0, y in built:
+            _assert_spline_parity(step, i0, y)
+
+    @pytest.mark.parametrize("plane, p", (("far_field", 0.0034),
+                                          ("far_field", 99.0),
+                                          ("near_field", 99.0),
+                                          ("near_field", 1.0)))
+    def test_cell_moments_match_the_masked_path(self, monkeypatch, plane, p):
+        # q = 1 (far field at small P, near field at large P and P = 1)
+        # takes M_0 = h k_eff(c) alone, and q > 1 (far field at P = 99)
+        # cuts its cells by searchsorted; both have the bits of the mask,
+        # gather, Vandermonde and scatter path.
+        calls = []
+        moments = _MarginalTable._cell_moments
+
+        def spy(table, centres, h, q, orders):
+            calls.append((table, centres, h, q, orders))
+            return moments(table, centres, h, q, orders)
+
+        monkeypatch.setattr(_MarginalTable, "_cell_moments", spy)
+        marginal_of(make_density(plane, "spdc", Params(p=p), TOL))
+        (table, centres, h, q, orders), = calls
+        assert (q == 1) == (p != 99.0 or plane == "near_field")
+        ours = moments(table, centres, h, q, orders)
+        oracle = _masked_cell_moments(table, centres, h, q, orders)
+        assert ours.shape == oracle.shape
+        assert np.array_equal(ours.view(np.int64), oracle.view(np.int64))
+
+    def test_far_field_table_at_small_p_is_lean(self, monkeypatch):
+        # The far-field table at P = 0.0034, the largest a report builds,
+        # keeps its values and slopes alone: 2 arrays of its length, where
+        # the FFT's padded length adds under 1%.  numpy reports its
+        # allocations to tracemalloc, so both numbers are deterministic;
+        # the build peaked at 20.0 MiB with 5 arrays kept.
+        j = make_density("far_field", "spdc", Params(p=0.0034), TOL)
+        origin = conditional_of(j)
+        built = []
+
+        class Traced(_MarginalTable):
+            def __init__(self, joint, z_cap):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                super().__init__(joint, z_cap)
+                built.append((self, tracemalloc.get_traced_memory()[1] - base))
+
+        monkeypatch.setattr(distributions, "_MarginalTable", Traced)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            marg = marginal_of(j, origin=origin)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        (table, peak), = built
+        spline = table._spline
+        n = len(spline._y)
+        assert n == 293_159
+        assert [k for k, v in vars(spline).items()
+                if isinstance(v, np.ndarray)] == ["_y", "_s"]
+        assert held <= 1.01 * 2 * 8 * n and marg(0.0) > 0.0
+        assert peak <= 14 * 2 ** 20
 
     def test_import_loads_only_scipy_special(self):
         src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
@@ -782,20 +856,136 @@ def _fine_table(table, zmax):
     vk = h * np.arange(-(m + n), m + n + 1)
     kv = table._k_eff(vk)
     conv = _convolve_valid(kv, gv) * h   # length 2n+1, z = j*h
-    z = h * np.arange(-n, n + 1)
-    return _UniformSpline(z, conv)
+    return _UniformSpline(h, -n, conv)
 
 
-def _assert_spline_parity(z, y):
-    """The uniform spline equals CubicSpline(z, y) to 1e-12 of max|y| at
-    the nodes, the interval midpoints and across both end intervals."""
+def _nodes(spline):
+    """The nodes z_i = step (i0 + i) of a uniform spline."""
+    return spline._step * np.arange(spline._i0, spline._i0 + len(spline._y))
+
+
+def _assert_spline_parity(step, i0, y):
+    """The uniform spline has the bits of the coefficient table
+    (``_CoefficientSpline``) at the nodes, the interval midpoints, across
+    both end intervals and at random points, and the same integral; and
+    equals CubicSpline(z, y) to 1e-12 of max|y| at the first three."""
     from scipy.interpolate import CubicSpline
-    ours, ref = _UniformSpline(z, y), CubicSpline(z, y)
+    ours = _UniformSpline(step, i0, y)
+    z = _nodes(ours)
+    table = _CoefficientSpline(z, y)
     h = z[1] - z[0]
     edge = h * np.linspace(0.0, 1.0, 9)
     scale = np.abs(y).max()
-    for x in (z, 0.5 * (z[:-1] + z[1:]), z[0] + edge, z[-1] - edge):
+    rng = np.random.default_rng(len(y))
+    points = (z, 0.5 * (z[:-1] + z[1:]), z[0] + edge, z[-1] - edge)
+    for x in points + (rng.uniform(z[0], z[-1], 10_001),):
+        assert np.array_equal(ours(x).view(np.int64),
+                              table(x).view(np.int64))
+    assert ours.integral == table.integral
+    ref = CubicSpline(z, y)
+    for x in points:
         assert np.abs(ours(x) - ref(x)).max() <= 1e-12 * scale
+
+
+class _CoefficientSpline:
+    """The uniform not-a-knot spline as a table of cubic coefficients per
+    interval, read by Horner's rule: the form that kept five arrays, and
+    the oracle of ``_UniformSpline``'s lookups."""
+
+    def __init__(self, z, y):
+        n = len(y)
+        h = (z[-1] - z[0]) / (n - 1)
+        m = np.diff(y) / h
+        s = np.convolve(3.0 * (m[:-1] + m[1:]),
+                        distributions._SPLINE_INVERSE)[27:n + 27]
+        r, k = distributions._SPLINE_R, min(n, 64)
+        mode = r ** np.arange(k)
+        far = r ** (n - 1) + 2.0 * r ** (n - 2)
+        near = 1.0 + 2.0 * r
+        b0 = 0.5 * (5.0 * m[0] + m[1]) - (s[0] + 2.0 * s[1])
+        b1 = 0.5 * (m[-2] + 5.0 * m[-1]) - (2.0 * s[-2] + s[-1])
+        det = near * near - far * far
+        s[:k] += (b0 * near - b1 * far) / det * mode
+        s[n - k:] += (b1 * near - b0 * far) / det * mode[::-1]
+        t = (s[:-1] + s[1:] - 2.0 * m) / h
+        self._z, self._inv_h = z, 1.0 / h
+        self._coef = (y[:-1], s[:-1], (m - s[:-1]) / h - t, t / h)
+        self.integral = h * (y.sum() - 0.5 * (y[0] + y[-1])) \
+            + h * h * (s[0] - s[-1]) / 12.0
+
+    def __call__(self, x):
+        z = self._z
+        i = np.clip(((x - z[0]) * self._inv_h).astype(np.intp), 0, len(z) - 2)
+        t = x - z[i]
+        c0, c1, c2, c3 = (c[i] for c in self._coef)
+        return c0 + t * (c1 + t * (c2 + t * c3))
+
+
+def _masked_k_eff(table, v):
+    """k_eff by boolean masks, gathers and scatters: the oracle of the
+    searchsorted cut."""
+    near = np.abs(v) <= table.v_c
+    out = np.empty_like(v)
+    out[near] = table.joint.kernel(v[near])
+    out[~near] = table._k_avg(v[~near])
+    return out
+
+
+def _masked_cell_moments(table, centres, h, q, orders):
+    """Cell moments by masks, one Vandermonde product per kind of cell and
+    scatters, at every q: the oracle of ``_MarginalTable._cell_moments``."""
+    far = np.abs(centres) - 0.5 * (q - 1) * h > table.v_c
+    moments = np.empty((orders, len(centres)))
+    x, wts = np.polynomial.legendre.leggauss(min(q, 8))
+    for sel, nodes, weights, k in (
+            (~far, h * (np.arange(q) - 0.5 * (q - 1)), np.full(q, h),
+             lambda v: _masked_k_eff(table, v)),
+            (far, 0.5 * q * h * x, 0.5 * q * h * wts, table._k_avg)):
+        kw = k(centres[sel, None] + nodes) * weights
+        moments[:, sel] = (kw @ np.vander(nodes, orders, True)).T
+    return moments
+
+
+class TestFactorBuffers:
+    """Joint.g, the spdc kernel and a slice's values come from buffers of
+    their own, with the bits of the one-expression forms they replaced
+    (the oracles here), for arrays and 0-d inputs alike; read-only inputs
+    show that nothing writes into its argument."""
+
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    def test_factors_and_slice_keep_their_bits(self, plane):
+        j = make_density(plane, "spdc", Params(p=0.3, sigma=1.5), TOL)
+        c = j.kernel_domain.osc_scale
+        shape = specfun.sinc if plane == "far_field" else specfun.sint
+
+        def g(u):
+            return np.exp(-(np.asarray(u, float) / j.g_width) ** 2)
+
+        def kernel(v):
+            return shape(c * np.asarray(v, float) ** 2) ** 2
+
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(20_001) * 5.0 * j.k_width
+        x.flags.writeable = False
+        assert _bitwise_same(j.g(x), g(x))
+        assert _bitwise_same(j.kernel(x), kernel(x))
+        # A 0-d input squares by pow, an array by multiplication; 20,000
+        # scalars meet a few dozen where the two differ.
+        assert all(j.g(v) == g(v) and j.kernel(v) == kernel(v)
+                   for v in x.tolist())
+        cond = conditional_of(j, 0.4)
+        s, _ = cond.weight
+        rt2 = math.sqrt(2.0)
+        ref = g((x + 0.4) / rt2) * kernel((x - 0.4) / rt2) / s
+        assert _bitwise_same(cond.pdf(x), ref)
+        assert all(cond(v) == g((v + 0.4) / rt2) * kernel((v - 0.4) / rt2) / s
+                   for v in x[:2000].tolist())
+
+
+def _bitwise_same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
 
 
 class TestGaussianModel:

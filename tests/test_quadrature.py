@@ -1,5 +1,6 @@
 """Unit tests for the adaptive/oscillatory quadrature layer."""
 
+import dataclasses
 import heapq
 import math
 
@@ -397,6 +398,39 @@ class TestClosedFormBlocks:
         assert quadrature._tail_blocks(
             self.f, self.SCALE, y0, tol, +1, (x_from, self.antiderivative)) \
             == quadrature._tail_blocks(self.f, self.SCALE, y0, tol, +1)
+
+
+class TestIntegrandArrays:
+    """The engine never writes into a node array it has handed to an
+    integrand, nor into an array an integrand returns: an integrand that
+    returns read-only arrays integrates, and every node array still holds
+    what it held when handed out."""
+
+    DOMAINS = {"finite": Domain.finite(-3.0, 2.0),
+               "mapped": Domain.full_line(),
+               "oscillatory": Domain.full_line(osc_scale=0.7, centre=0.3),
+               "closed_tail": dataclasses.replace(
+                   Domain.full_line(osc_scale=0.9, even=True), antiderivative=(
+                       20.0, TestClosedFormBlocks().antiderivative))}
+    DENSITIES = {"finite": lambda x: np.exp(-x * x),
+                 "mapped": lambda x: np.exp(-x * x),
+                 "oscillatory": lambda x: sinc(x * x) ** 2,
+                 "closed_tail": lambda x: TestClosedFormBlocks.A
+                 / (x ** 4 + 1.0)}
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_nodes_and_values_are_left_alone(self, name):
+        handed = []
+
+        def f(x):
+            handed.append((x, x.copy()))
+            out = _xlogx(self.DENSITIES[name](x))
+            out.flags.writeable = False
+            return out
+
+        value = integrate_1d(f, self.DOMAINS[name])
+        assert handed and all(np.array_equal(x, seen) for x, seen in handed)
+        assert value == integrate_1d(lambda x: f(x).copy(), self.DOMAINS[name])
 
 
 class TestRows:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import sici
+
 from spdc_ng import moments
 from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
-from spdc_ng.specfun import (_brentq, matching_alpha, shape_constants, sinc,
-                             sine_integral, sint)
+from spdc_ng.specfun import (_brentq, _xlogx, matching_alpha, shape_constants,
+                             sinc, sine_integral, sint)
 
 
 def si_taylor(x, terms=60):
@@ -79,6 +81,51 @@ class TestSint:
     def test_array_shape(self):
         y = np.linspace(0.0, 10.0, 7)
         assert sint(y).shape == (7,)
+
+
+def _frozen(x):
+    """x as a read-only array, so that a kernel writing into it raises."""
+    x = np.array(x, float)
+    x.flags.writeable = False
+    return x
+
+
+class TestKernelBuffers:
+    """The kernels compute in buffers of their own, with the operations and
+    the bits of the one-expression forms they replaced (the oracles here),
+    and never write into their argument."""
+
+    RNG = np.random.default_rng(7)
+    ARGS = (RNG.standard_normal(100_001) * 40.0,
+            np.abs(RNG.standard_normal(100_001)) * 1e4,
+            np.array([0.0, -0.0, 1e-300, 5e-324, math.pi, 1e15]),
+            np.linspace(0.0, 30.0, 3003).reshape(3, 1001))
+
+    @staticmethod
+    def _same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                     b.view(np.int64))
+
+    @pytest.mark.parametrize("i", range(len(ARGS)))
+    def test_sinc_and_sint(self, i):
+        x = _frozen(self.ARGS[i])
+        assert self._same(sinc(x), np.sinc(x / np.pi))
+        y = _frozen(np.abs(x))
+        assert self._same(sint(y), 1.0 - (2.0 / math.pi) * sici(y)[0])
+        for v in (0.0, 0.7, -3.25, 1e-9):
+            assert sinc(v) == float(np.sinc(v / np.pi))
+            assert sint(abs(v)) == float(1.0 - (2.0 / math.pi)
+                                         * sici(abs(v))[0])
+            assert type(sinc(v)) is float and type(sint(abs(v))) is float
+
+    @pytest.mark.parametrize("i", range(len(ARGS)))
+    def test_xlogx(self, i):
+        p = _frozen(sinc(self.ARGS[i]) ** 2)
+        ref = np.zeros_like(p)
+        mask = p > 1e-300
+        ref[mask] = p[mask] * np.log(p[mask])
+        assert self._same(_xlogx(p), ref)
 
 
 class TestMatchingAlpha:
