@@ -1,8 +1,9 @@
 """Command-line front end: reports, P-sweeps, figure datasets, constants.
 
 Output is CSV (first line ``# spdc-ng v1``, full round-trip float precision,
-LF line endings) or JSON.  Sweep grid points are evaluated in parallel with
-an ordered single-threaded writer, so repeated runs are byte-identical.
+LF line endings) or JSON.  Sweep grid points run in order on one thread, or
+on ``--threads N`` worker threads whose rows one writer puts back in grid
+order, so the bytes are the same either way and across runs.
 
 Exit codes: 0 success, 1 usage error, 2 computation failure, 3 partial
 sweep failure (failed rows carry an error sentinel and the run continues).
@@ -11,9 +12,9 @@ sweep failure (failed rows carry an error sentinel and the run continues).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,31 +25,62 @@ from .distributions import (PLANES, Params, _check_alpha, conditional_of,
 from .entropy import marginal_negentropy_limits, negentropy, ng_report
 from .gstate import (delta_b, purity, symplectic_spectrum, two_mode_cov,
                      von_neumann_entropy)
-from .moments import (_conditional_variance, conditional_variances,
-                      gaussian_conditional_variances, mancini_product,
-                      moments_1d)
+from .moments import (_conditional_variance, _epr_from_variances, epr_product,
+                      gaussian_conditional_variances, gaussian_epr_product,
+                      mancini_product, moments_1d)
 from .quadrature import QuadTolerance
 from .specfun import matching_alpha, shape_constants
 
 __all__ = ["main"]
 
 _HEADER = "# spdc-ng v1"
-_QUANTITIES = ("epr", "mancini", "ng_total", "ng_cond", "ng_marg",
-               "negentropy_ff_cond", "negentropy_nf_cond",
-               "negentropy_ff_marg", "negentropy_nf_marg",
-               "var_q_norm", "var_x_norm", "delta_b")
-# Quantities that accept Gaussian-model comparison columns per alpha.
-_ALPHA_AWARE = {"epr", "mancini", "var_q_norm", "var_x_norm"}
-# Negentropy quantities: the planes whose values and errors they sum, and
-# the form of the spdc density on each.
-_NEGENTROPIES = {
-    "ng_total": (PLANES, "joint"), "ng_cond": (PLANES, "cond"),
-    "ng_marg": (PLANES, "marg"),
-    "negentropy_ff_cond": (("far_field",), "cond"),
-    "negentropy_nf_cond": (("near_field",), "cond"),
-    "negentropy_ff_marg": (("far_field",), "marg"),
-    "negentropy_nf_marg": (("near_field",), "marg"),
+
+
+def _negentropies(form, planes=PLANES):
+    """The sweep cell of the summed spdc negentropies of ``form(joint)``
+    over ``planes``: (sum of values, sum of error estimates)."""
+    def cell(params, tol):
+        ns = [negentropy(form(make_density(plane, "spdc", params, tol)))
+              for plane in planes]
+        return sum(n.value for n in ns), sum(n.err_estimate for n in ns)
+    return cell
+
+
+# quantity: (its value and error at (params, tol), its Gaussian-model column
+# at (alpha, params), or None where it has none).  The cells name library
+# functions when they run, so a function rebound by a spy or a tracer is the
+# one they call.
+_SWEEPS = {
+    "epr": (lambda params, tol: (epr_product(params, tol).product, 0.0),
+            lambda a, params: gaussian_epr_product(a, params).product),
+    "mancini": (lambda params, tol: (mancini_product(params, "spdc"), 0.0),
+                lambda a, params: mancini_product(params, "gaussian",
+                                                  alpha=a)),
+    "ng_total": (_negentropies(lambda joint: joint), None),
+    "ng_cond": (_negentropies(lambda joint: conditional_of(joint)), None),
+    "ng_marg": (_negentropies(lambda joint: marginal_of(joint)), None),
+    "negentropy_ff_cond": (_negentropies(lambda joint: conditional_of(joint),
+                                         ("far_field",)), None),
+    "negentropy_nf_cond": (_negentropies(lambda joint: conditional_of(joint),
+                                         ("near_field",)), None),
+    "negentropy_ff_marg": (_negentropies(lambda joint: marginal_of(joint),
+                                         ("far_field",)), None),
+    "negentropy_nf_marg": (_negentropies(lambda joint: marginal_of(joint),
+                                         ("near_field",)), None),
+    "var_q_norm": (
+        lambda params, tol: (_conditional_variance("far_field", params, tol)
+                             * params.p ** 2, 0.0),
+        lambda a, params: (gaussian_conditional_variances(a, params)[0]
+                           * params.p * params.p)),
+    "var_x_norm": (
+        lambda params, tol: (_conditional_variance("near_field", params, tol)
+                             / params.p ** 2, 0.0),
+        lambda a, params: (gaussian_conditional_variances(a, params)[1]
+                           / (params.p * params.p))),
+    "delta_b": (lambda params, tol: (delta_b(params), 0.0), None),
 }
+_QUANTITIES = tuple(_SWEEPS)
+_ALPHA_AWARE = {q for q, (_, gauss) in _SWEEPS.items() if gauss is not None}
 
 
 class _UsageError(Exception):
@@ -68,16 +100,6 @@ def _alpha_tag(alpha):
     return f"gauss_a{alpha:g}"
 
 
-def _negentropy_cell(plane, form, params, tol):
-    spec = make_density(plane, "spdc", params, tol)
-    if form == "cond":
-        spec = conditional_of(spec)
-    elif form == "marg":
-        spec = marginal_of(spec)
-    n = negentropy(spec)
-    return n.value, n.err_estimate
-
-
 def _sweep_columns(quantity, alphas):
     cols = [quantity, quantity + "_err"]
     if quantity in _ALPHA_AWARE:
@@ -88,38 +110,9 @@ def _sweep_columns(quantity, alphas):
 def _sweep_values(quantity, p, sigma, alphas, tol):
     """Values for one grid point, ordered as _sweep_columns."""
     params = Params(p=p, sigma=sigma)
-    out = []
-    if quantity == "epr":
-        cv = conditional_variances(params, tol)
-        out += [cv.var_x_cond * cv.var_q_cond, 0.0]
-        for a in alphas:
-            vq, vx = gaussian_conditional_variances(a, params)
-            out.append(vx * vq)
-    elif quantity == "mancini":
-        out += [mancini_product(params, "spdc"), 0.0]
-        for a in alphas:
-            out.append(mancini_product(params, "gaussian", alpha=a))
-    elif quantity == "var_q_norm":
-        var_q = _conditional_variance("far_field", params, tol)
-        out += [var_q * params.p ** 2, 0.0]
-        for a in alphas:
-            vq, _ = gaussian_conditional_variances(a, params)
-            out.append(vq * p * p)
-    elif quantity == "var_x_norm":
-        var_x = _conditional_variance("near_field", params, tol)
-        out += [var_x / params.p ** 2, 0.0]
-        for a in alphas:
-            _, vx = gaussian_conditional_variances(a, params)
-            out.append(vx / (p * p))
-    elif quantity == "delta_b":
-        out += [delta_b(params), 0.0]
-    elif quantity in _NEGENTROPIES:
-        planes, form = _NEGENTROPIES[quantity]
-        cells = [_negentropy_cell(plane, form, params, tol) for plane in planes]
-        out += [sum(v for v, _ in cells), sum(e for _, e in cells)]
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return out
+    spdc, gaussian = _SWEEPS[quantity]
+    return [*spdc(params, tol),
+            *(gaussian(a, params) for a in alphas if gaussian)]
 
 
 def _grid(p_min, p_max, steps, log):
@@ -142,8 +135,8 @@ def _write_lines(lines, out_path):
 
 
 def _run_sweep_table(quantities, alphas, grid, tol, args):
-    """Evaluate the quantities' columns over the grid in parallel, side by
-    side, and write them as ordered CSV.
+    """Evaluate the quantities' columns over the grid, side by side, on
+    ``--threads`` worker threads, and write them as CSV in grid order.
 
     Returns 3 if any row failed (error sentinel in the last column), else 0.
     """
@@ -161,7 +154,9 @@ def _run_sweep_table(quantities, alphas, grid, tol, args):
             msg = msg.replace("\n", " ")
             return [math.nan] * len(columns), msg
 
-    with ThreadPoolExecutor(max_workers=_threads_from(args)) as pool:
+    if args.threads < 1:
+        raise _UsageError("--threads must be >= 1")
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         rows = list(pool.map(safe, grid))
 
     lines = [_HEADER, ",".join(["p"] + columns + ["error"])]
@@ -173,25 +168,31 @@ def _run_sweep_table(quantities, alphas, grid, tol, args):
     return 3 if failed else 0
 
 
-def _threads_from(args):
-    if args.threads is not None:
-        if args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("SPDC_NG_THREADS", "")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise _UsageError(f"SPDC_NG_THREADS must be an integer >= 1, got {env!r}")
-    return n
-
-
 def _tol_from(args):
     return QuadTolerance(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+
+
+def _cell(v):
+    if isinstance(v, bool):
+        return str(v).lower()
+    return v if isinstance(v, str) else _fmt(v)
+
+
+def _write_record(rec, fmt, out_path):
+    """``rec`` as indented JSON, or as ``key,value`` CSV rows in which a
+    nested record's keys take its name as a prefix (``err_`` for
+    ``errors``)."""
+    if fmt == "json":
+        _write_lines([json.dumps(rec, indent=2)], out_path)
+        return
+    lines = [_HEADER, "key,value"]
+    for k, v in rec.items():
+        if isinstance(v, dict):
+            prefix = "err" if k == "errors" else k
+            lines += [f"{prefix}_{nk},{_cell(nv)}" for nk, nv in v.items()]
+        else:
+            lines.append(f"{k},{_cell(v)}")
+    _write_lines(lines, out_path)
 
 
 # ---------------------------------------------------------------- report
@@ -200,41 +201,22 @@ def _tol_from(args):
 def _report_record(p, sigma, tol):
     params = Params(p=p, sigma=sigma)
     rep = ng_report(params, tol)
-    epr = rep.var_x_cond * rep.var_q_cond
+    epr = _epr_from_variances(rep.var_x_cond, rep.var_q_cond)
     spectrum = symplectic_spectrum(two_mode_cov(params))
-    rec = {"p": p, "sigma": sigma}
-    for name in ("n_ff_joint", "n_nf_joint", "ng_total", "n_ff_cond",
-                 "n_nf_cond", "ng_cond", "n_ff_marg", "n_nf_marg", "ng_marg",
-                 "decomposition_residual", "var_q_cond", "var_x_cond"):
-        rec[name] = getattr(rep, name)
-    rec.update({
-        "epr_product": epr,
-        "epr_entangled": epr < 0.25,
-        "epr_nongaussian_witness": epr > 0.25,
-        "mancini_product": mancini_product(params, "spdc"),
-        "delta_b": von_neumann_entropy(spectrum),
-        "purity": purity(spectrum),
-        "units": {"negentropy": "bits", "delta_b": "nats"},
-    })
-    return rec
+    # The report's fields start with p, which is params.p.
+    return {"p": p, "sigma": sigma, **dataclasses.asdict(rep),
+            "epr_product": epr.product,
+            "epr_entangled": epr.entangled_flag,
+            "epr_nongaussian_witness": epr.nongaussian_witness_flag,
+            "mancini_product": mancini_product(params, "spdc"),
+            "delta_b": von_neumann_entropy(spectrum),
+            "purity": purity(spectrum),
+            "units": {"negentropy": "bits", "delta_b": "nats"}}
 
 
 def _cmd_report(args):
-    tol = _tol_from(args)
-    rec = _report_record(args.p, args.sigma, tol)
-    if args.format == "json":
-        _write_lines([json.dumps(rec, indent=2)], args.out)
-    else:
-        lines = [_HEADER, "key,value"]
-        for k, v in rec.items():
-            if k == "units":
-                for uk, uv in v.items():
-                    lines.append(f"units_{uk},{uv}")
-            elif isinstance(v, bool):
-                lines.append(f"{k},{str(v).lower()}")
-            else:
-                lines.append(f"{k},{_fmt(v)}")
-        _write_lines(lines, args.out)
+    _write_record(_report_record(args.p, args.sigma, _tol_from(args)),
+                  args.format, args.out)
     return 0
 
 
@@ -321,7 +303,7 @@ def _constants_record(tol):
     params = Params(p=1.0)
     v = two_mode_cov(params)
     nu_minus = symplectic_spectrum(v).nu_minus
-    rec = {
+    return {
         "a1": sc.a1, "a2": sc.a2, "i_ff": sc.i_ff, "i_nf": sc.i_nf,
         "sinc_moment_ratio": sc.sinc_moment_ratio,
         "alpha_1e": matching_alpha(1.0 / math.e),
@@ -330,24 +312,12 @@ def _constants_record(tol):
         "ng_marg_limit_large_p": n_large,
         "nu_minus": nu_minus,
         "det_v": v.det,
-        "errors": {k: v for k, v in sorted(sc.errors.items())},
+        "errors": dict(sorted(sc.errors.items())),
     }
-    return rec
 
 
 def _cmd_constants(args):
-    rec = _constants_record(_tol_from(args))
-    if args.format == "json":
-        _write_lines([json.dumps(rec, indent=2)], args.out)
-    else:
-        lines = [_HEADER, "key,value"]
-        for k, v in rec.items():
-            if k == "errors":
-                for ek, ev in v.items():
-                    lines.append(f"err_{ek},{_fmt(ev)}")
-            else:
-                lines.append(f"{k},{_fmt(v)}")
-        _write_lines(lines, args.out)
+    _write_record(_constants_record(_tol_from(args)), args.format, args.out)
     return 0
 
 
@@ -366,7 +336,7 @@ def _build_parser():
         p.add_argument("--abs-tol", type=float, default=1e-10)
         p.add_argument("--rel-tol", type=float, default=1e-8)
         if sweep:
-            p.add_argument("--threads", type=int, default=None)
+            p.add_argument("--threads", type=int, default=1)
 
     p_rep = sub.add_parser("report", help="all scalar quantities at one P")
     p_rep.add_argument("--p", type=float, required=True)

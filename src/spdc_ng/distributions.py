@@ -206,6 +206,16 @@ class Density1D:
         return float(out) if out.ndim == 0 else out
 
 
+def _checked_scale(c, p, plane, name):
+    """The kernel scale ``c``, checked positive and finite: P^2 overflows
+    or underflows it long before P does."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"p = {p!r} is out of range: the "
+                         f"{plane.replace('_', ' ')} kernel's {name} must be "
+                         "positive and finite")
+    return c
+
+
 def make_density(plane, model, params, tol=None, *, alpha=None):
     """The normalized joint density of ``model`` on ``plane``; its
     normalization is closed-form, so nothing is integrated.  ``tol`` is the
@@ -225,17 +235,15 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
 
     if model == "spdc":
         if plane == "far_field":
-            c, shape, z_shape = 0.5 * p * p, sinc, _B1
+            c = _checked_scale(0.5 * p * p, p, plane, "phase scale P^2/2")
+            shape, z_shape = sinc, _B1
             k_width = math.sqrt(2.0) / p
         else:
             two_p2 = 2.0 * p * p
-            c, shape, z_shape = 1.0 / two_p2 if two_p2 else math.inf, sint, _A1
+            c = _checked_scale(1.0 / two_p2 if two_p2 else math.inf, p, plane,
+                               "phase scale 1/(2 P^2)")
+            shape, z_shape = sint, _A1
             k_width = math.sqrt(2.0) * p
-        if not 0 < c < math.inf:
-            phase = "P^2/2" if plane == "far_field" else "1/(2 P^2)"
-            raise ValueError(f"p = {p!r} is out of range: the "
-                             f"{plane.replace('_', ' ')} kernel's phase scale "
-                             f"{phase} must be positive and finite")
 
         def kernel(v):
             y = np.asarray(v, float) ** 2
@@ -247,11 +255,12 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
         domain = Domain.full_line(osc_scale=c, even=True)
         zk = z_shape / math.sqrt(c)
     else:
-        a = float(alpha)
+        ap2 = float(alpha) * p * p
         if plane == "far_field":
-            c = a * p * p
+            c = _checked_scale(ap2, p, plane, "scale alpha P^2")
         else:
-            c = 1.0 / (a * p * p)
+            c = _checked_scale(1.0 / ap2 if ap2 else math.inf, p, plane,
+                               "scale 1/(alpha P^2)")
 
         def kernel(v):
             return np.exp(-c * np.asarray(v, float) ** 2)

@@ -18,7 +18,9 @@ from spdc_ng.distributions import (Params, conditional_of, gaussian_equivalent,
 from spdc_ng.entropy import gaussian_entropy_closed, negentropy
 from spdc_ng.gstate import delta_b, two_mode_cov
 from spdc_ng.moments import (conditional_variances, covariance_closed,
-                             covariance_numeric, mancini_boundary,
+                             covariance_numeric, epr_product,
+                             gaussian_conditional_variances,
+                             gaussian_epr_product, mancini_boundary,
                              mancini_product, moments_1d)
 from spdc_ng.quadrature import QuadratureError, QuadTolerance
 from spdc_ng.specfun import shape_constants
@@ -29,6 +31,40 @@ FAST_TOL = QuadTolerance(abs_tol=1e-8, rel_tol=1e-6)
 
 def _run(args):
     return main(args)
+
+
+def _ng(params, form, *planes):
+    """The summed negentropies of ``form(joint)`` over ``planes``, and the
+    summed error estimates."""
+    ns = [negentropy(form(make_density(plane, "spdc", params, FAST_TOL)))
+          for plane in planes]
+    return [sum(n.value for n in ns), sum(n.err_estimate for n in ns)]
+
+
+FF, NF = "far_field", "near_field"
+# Each sweep quantity's (value and error, Gaussian-model column or None) as
+# the library expression it names.
+LIBRARY_CELLS = {
+    "epr": (lambda pr: [epr_product(pr, FAST_TOL).product, 0.0],
+            lambda a, pr: gaussian_epr_product(a, pr).product),
+    "mancini": (lambda pr: [mancini_product(pr, "spdc"), 0.0],
+                lambda a, pr: mancini_product(pr, "gaussian", alpha=a)),
+    "ng_total": (lambda pr: _ng(pr, lambda joint: joint, FF, NF), None),
+    "ng_cond": (lambda pr: _ng(pr, conditional_of, FF, NF), None),
+    "ng_marg": (lambda pr: _ng(pr, marginal_of, FF, NF), None),
+    "negentropy_ff_cond": (lambda pr: _ng(pr, conditional_of, FF), None),
+    "negentropy_nf_cond": (lambda pr: _ng(pr, conditional_of, NF), None),
+    "negentropy_ff_marg": (lambda pr: _ng(pr, marginal_of, FF), None),
+    "negentropy_nf_marg": (lambda pr: _ng(pr, marginal_of, NF), None),
+    "var_q_norm": (
+        lambda pr: [conditional_variances(pr, FAST_TOL).var_q_norm, 0.0],
+        lambda a, pr: gaussian_conditional_variances(a, pr)[0] * pr.p * pr.p),
+    "var_x_norm": (
+        lambda pr: [conditional_variances(pr, FAST_TOL).var_x_norm, 0.0],
+        lambda a, pr: (gaussian_conditional_variances(a, pr)[1]
+                       / (pr.p * pr.p))),
+    "delta_b": (lambda pr: [delta_b(pr), 0.0], None),
+}
 
 
 class TestExitCodes:
@@ -60,29 +96,6 @@ class TestExitCodes:
         assert _run(["sweep", "--quantity", "delta_b", "--steps", "2",
                      "--threads", "0"]) == 1
         assert "--threads must be >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ("two", "0", "-1", "1.5"))
-    def test_bad_threads_variable_is_usage_error(self, monkeypatch, capsys,
-                                                 value):
-        monkeypatch.setenv("SPDC_NG_THREADS", value)
-        assert _run(["sweep", "--quantity", "mancini", "--steps", "2"]) == 1
-        err = capsys.readouterr().err
-        assert f"SPDC_NG_THREADS must be an integer >= 1, got {value!r}" in err
-        assert "--threads" not in err
-
-    @pytest.mark.parametrize("value", ("", "2"))
-    def test_threads_variable_accepted(self, monkeypatch, tmp_path, value):
-        # Unset or empty means one thread per CPU.
-        monkeypatch.setenv("SPDC_NG_THREADS", value)
-        out = tmp_path / "s.csv"
-        assert _run(["sweep", "--quantity", "mancini", "--steps", "2",
-                     "--out", str(out)]) == 0
-
-    def test_threads_option_overrides_variable(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SPDC_NG_THREADS", "two")
-        out = tmp_path / "s.csv"
-        assert _run(["sweep", "--quantity", "mancini", "--steps", "2",
-                     "--threads", "1", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("args, name", ((["--p", "inf"], "p"),
                                             (["--p", "1", "--sigma", "inf"],
@@ -168,16 +181,45 @@ class TestReport:
         assert rec["units"] == {"negentropy": "bits", "delta_b": "nats"}
 
     def test_csv_report_round_trips_json(self, tmp_path):
-        a, b = tmp_path / "r.json", tmp_path / "r.csv"
-        _run(["report", "--p", "1.0", "--out", str(a)] + FAST)
-        _run(["report", "--p", "1.0", "--format", "csv", "--out", str(b)]
-             + FAST)
-        rec = json.loads(a.read_text())
-        lines = b.read_text().splitlines()
-        assert lines[0] == "# spdc-ng v1" and lines[1] == "key,value"
-        csv_map = dict(line.split(",", 1) for line in lines[2:])
-        assert float(csv_map["ng_total"]) == rec["ng_total"]
+        csv_map = _assert_csv_matches_json(tmp_path,
+                                           ["report", "--p", "1.0"] + FAST)
         assert csv_map["epr_entangled"] == "false"
+        assert csv_map["units_negentropy"] == "bits"
+
+
+def _assert_csv_matches_json(tmp_path, command):
+    """Run ``command`` as JSON and as CSV, check that the CSV rows are the
+    JSON record's cells in its order, a nested record's keys prefixed by
+    its name (``err_`` for ``errors``), and return the CSV rows by key."""
+    a, b = tmp_path / "r.json", tmp_path / "r.csv"
+    assert _run(command + ["--out", str(a)]) == 0
+    assert _run(command + ["--format", "csv", "--out", str(b)]) == 0
+    rec = json.loads(a.read_text())
+    lines = b.read_text().splitlines()
+    assert lines[0] == "# spdc-ng v1" and lines[1] == "key,value"
+    cells = []
+    for key, value in rec.items():
+        if isinstance(value, dict):
+            prefix = "err" if key == "errors" else key
+            cells += [(f"{prefix}_{k}", v) for k, v in value.items()]
+        else:
+            cells.append((key, value))
+    rows = [line.split(",", 1) for line in lines[2:]]
+    assert [k for k, _ in rows] == [k for k, _ in cells]
+    for (key, text), (_, value) in zip(rows, cells):
+        if isinstance(value, bool):
+            assert text == str(value).lower(), key
+        elif isinstance(value, str):
+            assert text == value, key
+        else:
+            assert float(text) == value and text == repr(float(value)), key
+    return dict(rows)
+
+
+class TestConstants:
+    def test_csv_constants_round_trips_json(self, tmp_path):
+        csv_map = _assert_csv_matches_json(tmp_path, ["constants"] + FAST)
+        assert {"err_a1", "err_i_ff", "err_i_nf"} <= set(csv_map)
 
 
 class TestSweep:
@@ -193,6 +235,48 @@ class TestSweep:
         p, v, _, g45, _, _ = lines[-1].split(",")
         assert float(g45) == pytest.approx(0.45 * float(p) ** 2, rel=1e-12)
         assert float(v) > 0
+
+    def test_quantities_are_the_library_cells(self):
+        assert set(cli._QUANTITIES) == set(LIBRARY_CELLS)
+        assert cli._ALPHA_AWARE == {
+            q for q, (_, gauss) in LIBRARY_CELLS.items() if gauss is not None}
+
+    @pytest.mark.parametrize("quantity", LIBRARY_CELLS)
+    def test_cell_is_the_library_call_it_names(self, quantity):
+        # Grid values, numpy floats as a sweep passes them.
+        grid = np.geomspace(0.01, 3.0, 60)
+        spdc, gauss = LIBRARY_CELLS[quantity]
+        alphas = (0.45, 0.72) if gauss else ()
+        params = Params(p=grid[40])
+        expected = spdc(params) + [gauss(a, params) for a in alphas]
+        got = _sweep_values(quantity, grid[40], 1.0, alphas, FAST_TOL)
+        assert [float(v).hex() for v in got] == \
+            [float(v).hex() for v in expected]
+        if gauss:
+            # The Gaussian columns are closed forms: every grid point.
+            column = cli._SWEEPS[quantity][1]
+            for params in map(Params, grid):
+                assert [float(column(a, params)).hex() for a in alphas] == \
+                    [float(gauss(a, params)).hex() for a in alphas]
+
+    def test_one_thread_unless_asked(self, monkeypatch, tmp_path):
+        workers = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        base = ["sweep", "--quantity", "epr", "--alpha", "0.72", "--p-min",
+                "0.1", "--p-max", "5", "--steps", "4"] + FAST
+        outs = []
+        for threads in ([], ["--threads", "1"], ["--threads", "2"]):
+            out = tmp_path / f"{len(outs)}.csv"
+            assert _run(base + threads + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert workers == [1, 1, 2]
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

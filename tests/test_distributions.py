@@ -59,6 +59,18 @@ class TestParams:
                 f"kernel's phase scale {phase} must be positive and finite")):
             make_density(plane, "spdc", Params(p=p))
 
+    @pytest.mark.parametrize("plane", ("far_field", "near_field"))
+    @pytest.mark.parametrize("p", (1e200, 1e-200))
+    def test_gaussian_scale_out_of_range_names_p(self, plane, p):
+        # alpha P^2 (far field) or 1/(alpha P^2) (near field) reaches inf
+        # or 0.  Far field P = 1e200 built a kernel of width 0 whose
+        # marginal negentropy read 0.0; the other three divided by zero.
+        scale = "alpha P^2" if plane == "far_field" else "1/(alpha P^2)"
+        with pytest.raises(ValueError, match=re.escape(
+                f"p = {p!r} is out of range: the {plane.replace('_', ' ')} "
+                f"kernel's scale {scale} must be positive and finite")):
+            make_density(plane, "gaussian", Params(p=p), alpha=0.5)
+
     def test_from_physical_round_trip(self):
         pr = Params.from_physical(crystal_length=5e-3, pump_wavenumber=1.5e7,
                                   beam_waist=3e-4, plane_z=0.0)
