@@ -6,9 +6,8 @@ from .quadrature import Domain, QuadratureError, QuadTolerance, integrate_1d
 from .specfun import (ShapeConstants, matching_alpha, shape_constants, sinc,
                       sine_integral, sint)
 from .distributions import (DegenerateSliceError, Density1D, Joint,
-                            MarginalCrossCheckError, Params, Physical,
-                            conditional_of, gaussian_equivalent, make_density,
-                            marginal_of)
+                            MarginalCrossCheckError, Params, conditional_of,
+                            gaussian_equivalent, make_density, marginal_of)
 from .moments import (CondVariances, Cov2, EprResult, conditional_variances,
                       covariance_closed, covariance_numeric, epr_product,
                       find_epr_crossings, gaussian_conditional_variances,
@@ -28,7 +27,7 @@ __all__ = [
     "ShapeConstants", "matching_alpha", "shape_constants", "sinc",
     "sine_integral", "sint",
     "DegenerateSliceError", "Density1D", "Joint", "MarginalCrossCheckError",
-    "Params", "Physical",
+    "Params",
     "conditional_of", "gaussian_equivalent", "make_density", "marginal_of",
     "CondVariances", "Cov2", "EprResult", "conditional_variances",
     "covariance_closed", "covariance_numeric", "epr_product",

@@ -134,9 +134,9 @@ def _write_lines(lines, out_path):
             fh.write(text)
 
 
-def _run_sweep_table(quantities, alphas, grid, tol, args):
+def _run_sweep_table(quantities, alphas, grid, tol, args, threads):
     """Evaluate the quantities' columns over the grid, side by side, on
-    ``--threads`` worker threads, and write them as CSV in grid order.
+    ``threads`` worker threads, and write them as CSV in grid order.
 
     Returns 3 if any row failed (error sentinel in the last column), else 0.
     """
@@ -154,9 +154,9 @@ def _run_sweep_table(quantities, alphas, grid, tol, args):
             msg = msg.replace("\n", " ")
             return [math.nan] * len(columns), msg
 
-    if args.threads < 1:
+    if threads < 1:
         raise _UsageError("--threads must be >= 1")
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(safe, grid))
 
     lines = [_HEADER, ",".join(["p"] + columns + ["error"])]
@@ -235,8 +235,9 @@ def _cmd_sweep(args):
             _check_alpha(a)
     except ValueError as exc:
         raise _UsageError(f"--alpha: {exc}") from None
-    grid = _grid(args.p_min, args.p_max, args.steps, args.log)
-    return _run_sweep_table((args.quantity,), alphas, grid, tol, args)
+    grid = _grid(args.p_min, args.p_max, args.steps, not args.linear)
+    return _run_sweep_table((args.quantity,), alphas, grid, tol, args,
+                            args.threads)
 
 
 # ---------------------------------------------------------------- figure
@@ -284,14 +285,20 @@ def _cmd_figure(args):
     tol = _tol_from(args)
     fid = args.figure_id
     if fid in _FIG_SECTIONS:
+        if args.threads is not None:
+            raise _UsageError(f"--threads does not apply to figure {fid}; it "
+                              f"applies to {', '.join(_FIG_SWEEPS)}")
         plane, p_default = _FIG_SECTIONS[fid]
         p = args.p if args.p is not None else p_default
         return _figure_section(plane, p, args.sigma, (0.45, 0.72), tol,
                                args.out)
-    if fid in _FIG_SWEEPS:
-        quantities, alphas, *grid = _FIG_SWEEPS[fid]
-        return _run_sweep_table(quantities, alphas, _grid(*grid), tol, args)
-    raise _UsageError(f"unknown figure id {fid!r}")
+    if args.p is not None:
+        raise _UsageError(f"--p does not apply to figure {fid}; it applies "
+                          f"to {', '.join(_FIG_SECTIONS)}")
+    quantities, alphas, *grid = _FIG_SWEEPS[fid]
+    threads = 1 if args.threads is None else args.threads
+    return _run_sweep_table(quantities, alphas, _grid(*grid), tol, args,
+                            threads)
 
 
 # ------------------------------------------------------------- constants
@@ -317,7 +324,8 @@ def _constants_record(tol):
 
 
 def _cmd_constants(args):
-    _write_record(_constants_record(_tol_from(args)), args.format, args.out)
+    tol = QuadTolerance(abs_tol=args.abs_tol)
+    _write_record(_constants_record(tol), args.format, args.out)
     return 0
 
 
@@ -330,13 +338,11 @@ def _build_parser():
                                  "criteria, and non-Gaussianity measures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, sweep=False):
+    def common(p):
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--abs-tol", type=float, default=1e-10)
         p.add_argument("--rel-tol", type=float, default=1e-8)
-        if sweep:
-            p.add_argument("--threads", type=int, default=1)
 
     p_rep = sub.add_parser("report", help="all scalar quantities at one P")
     p_rep.add_argument("--p", type=float, required=True)
@@ -349,22 +355,28 @@ def _build_parser():
     p_sw.add_argument("--p-min", type=float, default=0.01)
     p_sw.add_argument("--p-max", type=float, default=3.0)
     p_sw.add_argument("--steps", type=int, default=60)
-    p_sw.add_argument("--log", action="store_true", default=True)
-    p_sw.add_argument("--linear", dest="log", action="store_false")
+    p_sw.add_argument("--linear", action="store_true",
+                      help="linear grid (default logarithmic)")
     p_sw.add_argument("--alpha", type=float, action="append")
-    common(p_sw, sweep=True)
+    p_sw.add_argument("--threads", type=int, default=1)
+    common(p_sw)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_fig = sub.add_parser("figure", help="dataset behind a named figure (CSV)")
     p_fig.add_argument("figure_id", choices=FIGURE_IDS)
     p_fig.add_argument("--p", type=float, default=None,
                        help="override the preset P of the cross-section panels")
-    common(p_fig, sweep=True)
+    p_fig.add_argument("--threads", type=int, default=None,
+                       help="worker threads of the sweep figures (default 1)")
+    common(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
 
     p_con = sub.add_parser("constants", help="kernel shape constants")
     p_con.add_argument("--format", choices=("csv", "json"), default="json")
-    common(p_con)
+    # The record is fixed at P = 1, sigma = 1, and its shape constants are
+    # held to abs_tol alone, so it takes no --sigma or --rel-tol.
+    p_con.add_argument("--out", default=None, help="output path (default stdout)")
+    p_con.add_argument("--abs-tol", type=float, default=1e-10)
     p_con.set_defaults(func=_cmd_constants)
     return parser
 

@@ -41,7 +41,6 @@ from .quadrature import _CORE_PHASE, Domain, QuadTolerance, integrate_1d
 from .specfun import _A1, _A2, _B1, sinc, sint
 
 __all__ = [
-    "Physical",
     "Params",
     "Joint",
     "Density1D",
@@ -73,48 +72,27 @@ def _check_alpha(alpha):
 
 
 @dataclass(frozen=True)
-class Physical:
-    """Physical provenance of the dimensionless parameters (SI units)."""
-
-    crystal_length: float
-    pump_wavenumber: float
-    beam_waist: float
-    plane_z: float = 0.0
-
-    @property
-    def diffraction_length(self):
-        return self.pump_wavenumber * self.beam_waist ** 2 / 2.0
-
-
-@dataclass(frozen=True)
 class Params:
     """Dimensionless geometry: P = sqrt(L/(2 z0)), sigma^2 = 1 + (z/z0)^2."""
 
     p: float
     sigma: float = 1.0
-    physical: Physical | None = None
 
     def __post_init__(self):
         if not (0 < self.p < math.inf):
             raise ValueError("p must be positive and finite")
         if not (1 <= self.sigma < math.inf):
             raise ValueError("sigma must be >= 1 and finite")
-        if self.physical is not None:
-            z0 = self.physical.diffraction_length
-            p_ref = math.sqrt(self.physical.crystal_length / (2.0 * z0))
-            s_ref = math.sqrt(1.0 + (self.physical.plane_z / z0) ** 2)
-            if abs(self.p - p_ref) > 1e-12 * max(1.0, p_ref) or \
-               abs(self.sigma - s_ref) > 1e-12 * max(1.0, s_ref):
-                raise ValueError("dimensionless parameters inconsistent with "
-                                 "their physical provenance")
 
     @classmethod
     def from_physical(cls, crystal_length, pump_wavenumber, beam_waist, plane_z=0.0):
-        phys = Physical(crystal_length, pump_wavenumber, beam_waist, plane_z)
-        z0 = phys.diffraction_length
+        """The geometry of a crystal of length L, a pump of wavenumber k_p
+        and waist w0, and a detection plane at z (SI units), with
+        diffraction length z0 = k_p w0^2 / 2."""
+        z0 = pump_wavenumber * beam_waist ** 2 / 2.0
         p = math.sqrt(crystal_length / (2.0 * z0))
         sigma = math.sqrt(1.0 + (plane_z / z0) ** 2)
-        return cls(p=p, sigma=sigma, physical=phys)
+        return cls(p=p, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -133,7 +111,6 @@ class Joint:
     plane: str
     model: str
     params: Params
-    alpha: float | None
     tol: QuadTolerance
     kernel: Callable
     kernel_domain: Domain
@@ -269,8 +246,8 @@ def make_density(plane, model, params, tol=None, *, alpha=None):
         domain = Domain.full_line()
         zk = math.sqrt(math.pi / c)
 
-    return Joint(plane, model, params, alpha, tol, kernel, domain, g_width,
-                 k_width, zk)
+    return Joint(plane, model, params, tol, kernel, domain, g_width, k_width,
+                 zk)
 
 
 def _next_fast_len(n):
@@ -601,6 +578,8 @@ def conditional_of(joint, fixed_value=0.0):
     if not isinstance(joint, Joint):
         raise ValueError("conditional_of expects a joint density")
     c = float(fixed_value)
+    if not math.isfinite(c):
+        raise ValueError(f"slice value {fixed_value!r} must be finite")
     # The kernel phase about its peak, (P^2/4)(xi1 - c)^2 in the far field.
     osc = joint.kernel_domain.osc_scale / 2.0 if joint.model == "spdc" else None
     rt2 = math.sqrt(2.0)

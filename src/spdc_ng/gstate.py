@@ -8,7 +8,7 @@ state is pure, the relative-entropy non-Gaussianity delta_b equals the
 entropy of the matched Gaussian state.
 
 Convention: the vacuum covariance matrix is diag(1/2, ...) and the vacuum
-symplectic eigenvalue is 1/2.  Entropies are in nats by default.
+symplectic eigenvalue is 1/2.  Entropies are in nats.
 """
 
 from __future__ import annotations
@@ -127,21 +127,16 @@ def _f(nu):
     return (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
 
 
-def von_neumann_entropy(spectrum: SymplecticSpectrum, base="nats"):
-    """Entropy of the Gaussian state with the given spectrum."""
-    s = _f(spectrum.nu_plus) + _f(spectrum.nu_minus)
-    if base == "nats":
-        return s
-    if base == "bits":
-        return s / math.log(2.0)
-    raise ValueError(f"unknown base {base!r}")
+def von_neumann_entropy(spectrum: SymplecticSpectrum):
+    """Entropy of the Gaussian state with the given spectrum, in nats."""
+    return _f(spectrum.nu_plus) + _f(spectrum.nu_minus)
 
 
-def delta_b(params, base="nats"):
-    """Relative-entropy non-Gaussianity of the (pure) two-photon state.
+def delta_b(params):
+    """Relative-entropy non-Gaussianity of the (pure) two-photon state, in
+    nats.
 
     Equals the Von Neumann entropy of its covariance-matched Gaussian
     state; independent of P because the symplectic spectrum is.
     """
-    return von_neumann_entropy(symplectic_spectrum(two_mode_cov(params)),
-                               base=base)
+    return von_neumann_entropy(symplectic_spectrum(two_mode_cov(params)))

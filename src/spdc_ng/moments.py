@@ -97,9 +97,6 @@ class CondVariances:
     var_q_norm: float
     var_x_norm: float
 
-    def __iter__(self):
-        return iter((self.var_q_cond, self.var_x_cond))
-
 
 # The unit-scale tail T = int_{sqrt(Y)}^inf x^2 shape(x^2)^2 dx of each spdc
 # kernel beyond the core's split Y = _CORE_PHASE = 32 pi, as M/2 - H: M is

@@ -191,6 +191,10 @@ class Domain:
                 raise ValueError("only a full line can be even, centred or oscillatory")
         if self.osc_scale is not None and not 0 < self.osc_scale < math.inf:
             raise ValueError("osc_scale must be positive and finite")
+        if not 0 <= self.core_extent < math.inf:
+            raise ValueError("core_extent must be non-negative and finite")
+        if not math.isfinite(self.centre):
+            raise ValueError("centre must be finite")
 
     @staticmethod
     def finite(a, b):
@@ -246,7 +250,8 @@ def _adaptive_finite(f, a, b, tol, seed_points=()):
     children = {}    # (lo, hi) of a panel -> the rules of its two halves
     while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):
         if count >= _MAX_SUBDIVISIONS:
-            raise QuadratureError("quadrature did not converge within max_subdivisions",
+            raise QuadratureError("quadrature did not converge within its "
+                                  f"{_MAX_SUBDIVISIONS}-panel budget",
                                   total, toterr)
         negerr, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import os
 import re
@@ -144,6 +145,23 @@ class TestExitCodes:
         assert out == "" and err == ("spdc-ng: error: --alpha: gaussian "
                                      "model requires a positive finite alpha\n")
 
+    @pytest.mark.parametrize("args, message", (
+        (["figure", "2", "--p", "3"],
+         "--p does not apply to figure 2; it applies to 1a, 1b, 1c, 1d"),
+        (["figure", "1a", "--threads", "1"],
+         "--threads does not apply to figure 1a; it applies to 1e, 1f, 2, "
+         "3c, 3d, mancini, supp_ngm, 3a, 3b"),
+        (["constants", "--sigma", "2"], "unrecognized arguments: --sigma 2"),
+        (["constants", "--rel-tol", "1e-6"],
+         "unrecognized arguments: --rel-tol 1e-6"),
+        (["sweep", "--quantity", "delta_b", "--log"],
+         "unrecognized arguments: --log")))
+    def test_flag_the_command_does_not_read_is_usage_error(self, capsys, args,
+                                                           message):
+        assert _run(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"spdc-ng: error: {message}\n"
+
     def test_infinite_p_max_is_usage_error(self, capsys):
         assert _run(["sweep", "--quantity", "mancini", "--p-min", "0.1",
                      "--p-max", "inf", "--steps", "3"]) == 1
@@ -218,7 +236,8 @@ def _assert_csv_matches_json(tmp_path, command):
 
 class TestConstants:
     def test_csv_constants_round_trips_json(self, tmp_path):
-        csv_map = _assert_csv_matches_json(tmp_path, ["constants"] + FAST)
+        csv_map = _assert_csv_matches_json(tmp_path,
+                                           ["constants", "--abs-tol", "1e-8"])
         assert {"err_a1", "err_i_ff", "err_i_nf"} <= set(csv_map)
 
 
@@ -397,11 +416,74 @@ class TestKernelVarianceFailure:
         assert raised == dict.fromkeys(range(-300, -247, 10), True)
 
 
+def _values(option, a, b):
+    return [option, a], [option, b]
+
+
+TOLS = {"--abs-tol": _values("--abs-tol", "1e-10", "1e-6"),
+        "--rel-tol": _values("--rel-tol", "1e-8", "1e-6")}
+# A cheap valid command of each subcommand, and for each of its options two
+# argument lists that must print different bytes.
+OPTION_CASES = {
+    "report": (["report", "--p", "1"], {
+        "--p": _values("--p", "1", "2"),
+        "--format": _values("--format", "json", "csv"),
+        "--sigma": _values("--sigma", "1", "2"), **TOLS}),
+    "sweep": (["sweep", "--quantity", "ng_cond", "--steps", "3",
+               "--p-min", "1", "--p-max", "2"], {
+        "--quantity": _values("--quantity", "ng_cond", "ng_marg"),
+        "--p-min": _values("--p-min", "1", "1.5"),
+        "--p-max": _values("--p-max", "2", "3"),
+        "--steps": _values("--steps", "3", "4"),
+        "--linear": ([], ["--linear"]),
+        "--alpha": (["--quantity", "mancini", "--alpha", "0.5"],
+                    ["--quantity", "mancini", "--alpha", "0.7"]),
+        "--sigma": _values("--sigma", "1", "2"), **TOLS}),
+    "figure": (["figure", "1b"], {
+        "--p": _values("--p", "0.1", "2"),
+        "--sigma": _values("--sigma", "1", "2"), **TOLS}),
+    "constants": (["constants"], {
+        "--format": _values("--format", "json", "csv"),
+        "--abs-tol": TOLS["--abs-tol"]}),
+}
+
+
+def _registered_options():
+    """(subcommand, option) for every option the parser registers, but help,
+    --out and --threads, which other tests pin to leave the bytes alone."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1])
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if action.option_strings
+            and not isinstance(action, argparse._HelpAction)
+            and action.option_strings[-1] not in ("--out", "--threads")]
+
+
+class TestOptions:
+    """Each option of each subcommand changes what the command prints."""
+
+    def test_every_subcommand_is_walked(self):
+        assert {c for c, _ in _registered_options()} == set(OPTION_CASES)
+
+    @pytest.mark.parametrize("command, option", _registered_options())
+    def test_option_changes_the_output(self, capsys, command, option):
+        base, cases = OPTION_CASES[command]
+        assert option in cases, f"no case for {command} {option}"
+        outputs = []
+        for args in cases[option]:
+            assert _run(base + args) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] != outputs[1]
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
         src = os.path.dirname(os.path.dirname(spdc_ng.__file__))
         res = subprocess.run([sys.executable, "-m", "spdc_ng.cli",
-                              "constants", "--format", "json"] + FAST,
+                              "constants", "--format", "json",
+                              "--abs-tol", "1e-8"],
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0
@@ -686,7 +768,7 @@ class TestToleranceScope:
     @pytest.mark.parametrize("command, sets", (
         *((f"sweep --quantity {q} --steps 2 --threads 1", 0)
           for q in ("epr", "mancini", "delta_b", "var_q_norm", "var_x_norm")),
-        ("figure 1a --threads 1", 0),
+        ("figure 1a", 0),
         ("report --p 1.0", 1),
         ("constants", 1)))
     def test_commands_compute_constants_only_to_read_them(
@@ -695,8 +777,9 @@ class TestToleranceScope:
         # i_nf, the shape constants that need quadrature.
         computed = self._count_constant_sets(monkeypatch)
         argv = command.split() + ["--abs-tol", repr(self.UNSEEN.abs_tol),
-                                  "--rel-tol", repr(self.UNSEEN.rel_tol),
                                   "--out", str(tmp_path / "out")]
+        if command != "constants":    # which holds them to abs_tol alone
+            argv += ["--rel-tol", repr(self.UNSEEN.rel_tol)]
         assert _run(argv) == 0
         assert computed == [sets]
 

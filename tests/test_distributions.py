@@ -8,23 +8,26 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spdc_ng
 from spdc_ng import quadrature, specfun
 from spdc_ng import distributions
 from spdc_ng import MarginalCrossCheckError
 from spdc_ng.distributions import (DegenerateSliceError, Density1D, Joint,
-                                   Params, Physical, _convolve_valid,
+                                   Params, _convolve_valid,
                                    _MarginalTable, _next_fast_len,
                                    _UniformSpline, conditional_of,
                                    gaussian_equivalent, make_density,
                                    marginal_of)
 from spdc_ng.entropy import differential_entropy, negentropy
-from spdc_ng.moments import _factor_variances, moments_1d
+from spdc_ng.moments import _factor_variances, covariance_closed, moments_1d
 from spdc_ng.quadrature import Domain, QuadTolerance, integrate_1d
 from spdc_ng.specfun import _xlogx, shape_constants
 
@@ -78,19 +81,12 @@ class TestParams:
         assert pr.p == pytest.approx(math.sqrt(5e-3 / (2 * z0)))
         assert pr.sigma == 1.0
 
-    def test_inconsistent_provenance_rejected(self):
-        phys = Physical(5e-3, 1.5e7, 3e-4)
-        with pytest.raises(ValueError):
-            Params(p=0.3, sigma=1.0, physical=phys)
-
 
 class TestNormalization:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     @pytest.mark.parametrize("p", (0.05, 0.5, 1.0, 2.0, 5.0))
     @pytest.mark.parametrize("sigma", (1.0, 2.0))
     def test_joint_normalized(self, plane, p, sigma):
-        if plane == "far_field" and sigma != 1.0:
-            pytest.skip("far-field factors do not involve sigma")
         j = make_density(plane, "spdc", Params(p=p, sigma=sigma), TOL)
         zu, _ = integrate_1d(j.g, Domain.full_line(), TOL)
         zv, _ = integrate_1d(j.kernel, j.kernel_domain, TOL)
@@ -169,6 +165,27 @@ class TestNormalization:
             assert v == pytest.approx(1.0, abs=1e-6)
 
 
+class TestFarFieldSigma:
+    """Far-field factors do not involve sigma: every far-field value has
+    the bits it has at sigma = 1."""
+
+    @staticmethod
+    def _far_field_values(p, sigma):
+        params = Params(p=p, sigma=sigma)
+        j = make_density("far_field", "spdc", params, TOL)
+        cond = conditional_of(j)
+        return (j.norm, negentropy(j), negentropy(cond),
+                negentropy(marginal_of(j, origin=cond)), moments_1d(cond),
+                covariance_closed("far_field", params))
+
+    @pytest.mark.parametrize("p", (0.05, 1.0, 20.0))
+    @settings(max_examples=5, deadline=None)
+    @given(sigma=st.floats(1.0, 1e3))
+    def test_values_do_not_depend_on_sigma(self, p, sigma):
+        assert (self._far_field_values(p, sigma)
+                == self._far_field_values(p, 1.0))
+
+
 class TestStructure:
     @pytest.mark.parametrize("plane", ("far_field", "near_field"))
     def test_exchange_symmetry(self, plane):
@@ -209,6 +226,17 @@ class TestStructure:
                          alpha=0.72)
         with pytest.raises(DegenerateSliceError):
             conditional_of(j, 60.0)
+
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_slice_value_rejected(self, kernel_points, value):
+        # Checked before any work: no kernel point and no RuntimeWarning.
+        j = make_density("far_field", "spdc", Params(p=1.0), TOL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"slice value {value!r} must be finite")):
+                conditional_of(j, value)
+        assert kernel_points[0] == 0
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):

@@ -97,10 +97,3 @@ class TestDeltaB:
         assert ref == pytest.approx(1.0826907, abs=1e-6)
         for p in (0.05, 0.7, 6.0):
             assert delta_b(Params(p=p)) == pytest.approx(ref, abs=1e-6)
-
-    def test_bases(self):
-        n = delta_b(Params(p=1.0), base="nats")
-        b = delta_b(Params(p=1.0), base="bits")
-        assert b == pytest.approx(n / math.log(2.0), abs=1e-12)
-        with pytest.raises(ValueError):
-            von_neumann_entropy(SymplecticSpectrum(0.5, 1.0), base="dits")

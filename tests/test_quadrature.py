@@ -492,8 +492,9 @@ def _sequential_adaptive(f, a, b, tol, seed_points=()):
 
     while toterr > max(tol.abs_tol, tol.rel_tol * abs(total)):
         if count >= quadrature._MAX_SUBDIVISIONS:
-            raise QuadratureError("quadrature did not converge within max_subdivisions",
-                                  total, toterr)
+            raise QuadratureError("quadrature did not converge within its "
+                                  f"{quadrature._MAX_SUBDIVISIONS}-panel "
+                                  "budget", total, toterr)
         negerr, lo, hi, v = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         v1, e1 = _panel_rule(f, lo, mid)
@@ -653,7 +654,7 @@ class TestFailurePaths:
         raised = []
         for core in (quadrature._adaptive_finite, _sequential_adaptive):
             monkeypatch.setattr(quadrature, "_adaptive_finite", core)
-            with pytest.raises(QuadratureError, match="max_subdivisions") as info:
+            with pytest.raises(QuadratureError, match="within its 10-panel budget") as info:
                 integrate_1d(lambda x: 1.0 / np.sqrt(np.abs(x - 1.0 / 3.0)),
                              Domain.finite(0.0, 1.0))
             raised.append(info.value)
@@ -707,3 +708,13 @@ class TestDomainChecks:
     def test_osc_scale_positive_and_finite(self, scale):
         with pytest.raises(ValueError, match="osc_scale"):
             Domain.full_line(osc_scale=scale)
+
+    @pytest.mark.parametrize("extent", (-1.0, math.nan, math.inf))
+    def test_core_extent_non_negative_and_finite(self, extent):
+        with pytest.raises(ValueError, match="core_extent"):
+            Domain.full_line(osc_scale=1.0, core_extent=extent)
+
+    @pytest.mark.parametrize("centre", (math.nan, math.inf, -math.inf))
+    def test_centre_finite(self, centre):
+        with pytest.raises(ValueError, match="centre must be finite"):
+            Domain.full_line(centre=centre)
